@@ -14,9 +14,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ftp import GammaState, ManagedParam, adam_update_gamma, hyper_gradient
+from .ftp import GammaState, ManagedParam, adam_update_gamma, hyper_gradient, require_grads
 from .model import Batch
-from .projection import ProjectionView, canonicalize, project_rows
+from .projection import Displacement, ProjectionView, canonicalize, project_rows
 
 __all__ = [
     "AdamW",
@@ -152,9 +152,8 @@ class BaseOnlyOptimizer:
         self.gammas: dict[str, GammaState] = {}
 
     def step(self) -> None:
+        require_grads(self.params)
         for name, p in self.params.items():
-            if p.grad is None:
-                raise ConfigError(f"gradient missing for {name}")
             p.value = self.base.step(name, p.value, p.grad)
             p.grad = None
 
@@ -198,25 +197,28 @@ class MarsSpOptimizer:
         if bad:
             raise ConfigError(f"radii must be nonnegative, got {bad}")
         self.gammas: dict[str, GammaState] = {}
+        self.displacements: dict[str, Displacement] = {}
 
     def gamma_values(self) -> dict[str, float]:
         """The fixed radii, reported per tensor like the learned methods."""
         return dict(self.fixed_gammas)
 
     def step(self) -> None:
+        require_grads(self.params)
         for name, p in self.params.items():
-            if p.grad is None:
-                raise ConfigError(f"gradient missing for {name}")
             w_tilde = self.base.step(name, p.value, p.grad)
             view = self.views.get(name)
             if view is None:
                 p.value = w_tilde
             else:
+                gamma = self.fixed_gammas[name]
+                disp = Displacement(view, w_tilde, p.anchor, previous=self.displacements.get(name))
+                self.displacements[name] = disp
                 p.prev_unconstrained = w_tilde
-                p.value = view.from_2d(
-                    project_rows(
-                        view.to_2d(w_tilde), view.to_2d(p.anchor), self.fixed_gammas[name]
-                    )
+                p.value = disp.projected(
+                    project_rows(disp.w_tilde, disp.w_anchor, gamma,
+                                 delta=disp.delta, dist=disp.dist),
+                    gamma,
                 )
             p.grad = None
 
@@ -262,6 +264,9 @@ class TpgmOptimizer:
                 self.gammas[name] = GammaState(
                     gamma=gamma_init, kappa=1.0, mu=mu, beta1=betas[0], beta2=betas[1], eps=eps
                 )
+        # this step's frozen updates, measured once for every inner
+        # projection and hyper-gradient and for the final projection
+        self.displacements: dict[str, Displacement] = {}
 
     def gamma_values(self) -> dict[str, float]:
         return {name: gs.gamma for name, gs in self.gammas.items()}
@@ -269,16 +274,15 @@ class TpgmOptimizer:
     def _projected_values(self, w_tilde: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         values = {}
         for name, wt in w_tilde.items():
-            view = self.views.get(name)
-            if view is None:
+            disp = self.displacements.get(name)
+            if disp is None:
                 values[name] = wt
             else:
-                values[name] = view.from_2d(
-                    project_rows(
-                        view.to_2d(wt),
-                        view.to_2d(self.params[name].anchor),
-                        self.gammas[name].gamma,
-                    )
+                gamma = self.gammas[name].gamma
+                values[name] = disp.projected(
+                    project_rows(disp.w_tilde, disp.w_anchor, gamma,
+                                 delta=disp.delta, dist=disp.dist),
+                    gamma,
                 )
         return values
 
@@ -288,22 +292,23 @@ class TpgmOptimizer:
             raise ConfigError(
                 f"need {self.inner_iters} validation batches, got {len(val_batches)}"
             )
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ConfigError(f"gradient missing for {name}")
+        require_grads(self.params)
         w_tilde = {
             name: self.base.step(name, p.value, p.grad) for name, p in self.params.items()
+        }
+        self.displacements = {
+            name: Displacement(view, w_tilde[name], self.params[name].anchor,
+                               previous=self.displacements.get(name))
+            for name, view in self.views.items()
         }
         for k in range(self.inner_iters):
             probe = self._projected_values(w_tilde)
             _, val_grads = self.grad_fn(probe, val_batches[k])
             for name, gs in self.gammas.items():
-                view = self.views[name]
+                disp = self.displacements[name]
                 g = hyper_gradient(
-                    view.to_2d(val_grads[name]),
-                    view.to_2d(w_tilde[name]),
-                    view.to_2d(self.params[name].anchor),
-                    gs.gamma,
+                    disp.view.to_2d(val_grads[name]), disp.w_tilde, disp.w_anchor, gs.gamma,
+                    delta=disp.delta, dist=disp.dist,
                 )
                 adam_update_gamma(gs, g)
         final = self._projected_values(w_tilde)

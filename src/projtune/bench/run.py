@@ -210,14 +210,32 @@ def _gamma_values(optimizer) -> dict[str, float]:
 
 
 def _constraint_excess(optimizer, params) -> Optional[float]:
-    """Worst (distance - radius) over projected tensors; None if nothing projects."""
+    """Worst (distance - radius) over projected tensors; None if nothing projects.
+
+    A row the last projection left as it was sits at the distance that
+    projection measured; rows it rescaled, and tensors whose state has been
+    replaced since, are measured from the stored weights.
+    """
     views = getattr(optimizer, "views", None)
     if not views:
         return None
     gammas = _gamma_values(optimizer)
+    displacements = getattr(optimizer, "displacements", {})
     worst = -math.inf
     for name, view in views.items():
-        d = mars_norm(view.to_2d(params[name].value) - view.to_2d(params[name].anchor))
+        p = params[name]
+        disp = displacements.get(name)
+        if (disp is None or disp.value is not p.value
+                or not disp.measures(p.prev_unconstrained, p.anchor)):
+            d = mars_norm(view.to_2d(p.value) - view.to_2d(p.anchor))
+        else:
+            moved = disp.rescaled_rows()
+            if moved.all():  # nothing to reuse, and gathering every row costs more
+                d = mars_norm(disp.value_2d - disp.w_anchor)
+            else:
+                d = float(np.max(disp.dist, where=~moved, initial=-math.inf))
+                if moved.any():
+                    d = max(d, mars_norm(disp.value_2d[moved] - disp.w_anchor[moved]))
         worst = max(worst, d - gammas[name])
     return worst
 
@@ -362,6 +380,15 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         batch = draw_batch(root.derive(_TAG_BATCH, t), ft_train, config.batch_size)
         values = {name: p.value for name, p in params.items()}
         loss, grads = counting.loss_and_grads(values, batch)
+        if not math.isfinite(loss):
+            # the diagnostic row reports the state before this step, which never runs
+            record.add_row(t, loss, time.perf_counter() - tic, counting.fwd_count,
+                           counting.bwd_count, _gamma_values(optimizer))
+            emit_metrics(record, "csv", outdir / "metrics.csv")
+            record.summary = {"method": config.method, "seed": config.seed,
+                              "diverged_at": t}
+            write_summary(record, outdir / "summary.json")
+            raise RunError(f"training loss diverged at iteration {t}")
         for name, p in params.items():
             g = grads[name]
             if config.method == "l2-sp":
@@ -387,12 +414,6 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         excess = _constraint_excess(optimizer, params)
         if excess is not None:
             max_excess = max(max_excess, excess)
-        if not math.isfinite(loss):
-            emit_metrics(record, "csv", outdir / "metrics.csv")
-            record.summary = {"method": config.method, "seed": config.seed,
-                              "diverged_at": t}
-            write_summary(record, outdir / "summary.json")
-            raise RunError(f"training loss diverged at iteration {t}")
         if config.checkpoint_every and t % config.checkpoint_every == 0:
             save_checkpoint(
                 _run_checkpoint(config, spec, params, optimizer, t, counting),

@@ -18,7 +18,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, DomainError, StateError
-from .projection import EPS_DIV, ProjectionView, canonicalize, project_rows
+from .projection import (
+    EPS_DIV,
+    Displacement,
+    ProjectionView,
+    canonicalize,
+    project_rows,
+    resolve_displacement,
+)
 
 __all__ = [
     "GAMMA_INIT",
@@ -30,6 +37,7 @@ __all__ = [
     "hyper_gradient",
     "make_managed",
     "rebase_anchor",
+    "require_grads",
 ]
 
 # Constraints start effectively closed: the first step can barely leave the anchor.
@@ -91,6 +99,13 @@ def make_managed(
     return out
 
 
+def require_grads(params: dict[str, ManagedParam]) -> None:
+    """Raise StateError, before any tensor is stepped, if a param has no gradient."""
+    missing = [name for name, p in params.items() if p.grad is None]
+    if missing:
+        raise StateError(f"gradients missing for: {missing}")
+
+
 @dataclass
 class GammaState:
     """One learnable constraint radius with its Adam moments.
@@ -128,6 +143,9 @@ def hyper_gradient(
     anchor: np.ndarray,
     gamma: float,
     eps_div: float = EPS_DIV,
+    *,
+    delta: Optional[np.ndarray] = None,
+    dist: Optional[np.ndarray] = None,
 ) -> float:
     """Derivative of the loss w.r.t. the constraint radius, reusing ``grad``.
 
@@ -135,6 +153,9 @@ def hyper_gradient(
     projection actually rescaled), the inner product of the loss gradient row
     with the displacement direction, divided by the row's L1 displacement.
     Clamped rows and rows with negligible displacement contribute zero.
+
+    ``delta`` and ``dist`` are the cached :func:`~projtune.projection.row_displacement`
+    of ``prev_unconstrained`` from ``anchor``; without them it is computed.
     """
     if prev_unconstrained is None:
         raise StateError("no cached unconstrained weights; run a step first")
@@ -145,12 +166,12 @@ def hyper_gradient(
         raise DomainError(
             f"hyper_gradient expects matching 2-D shapes, got {g.shape}/{wt.shape}/{w0.shape}"
         )
-    delta = wt - w0
-    dist = np.abs(delta).sum(axis=1)
+    delta, dist = resolve_displacement(wt, w0, delta, dist)
     active = (dist > gamma) & (dist >= eps_div)
     if not np.any(active):
         return 0.0
-    num = (g[active] * delta[active]).sum(axis=1)
+    # whole-matrix row sums, then select: the same per-row bits as summing the selected rows
+    num = (g * delta).sum(axis=1)[active]
     return float((num / dist[active]).sum())
 
 
@@ -165,8 +186,10 @@ def adam_update_gamma(state: GammaState, grad: float) -> float:
     """One Adam step on the constraint radius; floors the result at zero.
 
     Returns the pre-clamp radius for diagnostics; ``state.gamma`` holds the
-    clamped value.
+    clamped value. A non-finite gradient raises before any field changes.
     """
+    if not math.isfinite(grad):
+        raise DomainError(f"non-finite constraint gradient {grad}")
     state.t += 1
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
@@ -229,6 +252,9 @@ class FtpOptimizer:
                 self.gammas[name] = GammaState(
                     gamma=gamma_init, kappa=k, mu=mu, beta1=betas[0], beta2=betas[1], eps=eps
                 )
+        # the latest update of each projected tensor, measured once: this
+        # step's projection and the next step's hyper-gradient both read it
+        self.displacements: dict[str, Displacement] = {}
 
     def projected_names(self) -> list[str]:
         return list(self.gammas)
@@ -242,9 +268,7 @@ class FtpOptimizer:
         Exactly one loss/gradient evaluation feeds both the model update and
         the constraint update.
         """
-        missing = [name for name, p in self.params.items() if p.grad is None]
-        if missing:
-            raise StateError(f"gradients missing for: {missing}")
+        require_grads(self.params)
         for name, p in self.params.items():
             g = p.grad
             gs = self.gammas.get(name)
@@ -252,20 +276,26 @@ class FtpOptimizer:
                 p.value = self.base.step(name, p.value, g)
             else:
                 view = self.views[name]
+                disp = self.displacements.get(name)
                 if p.prev_unconstrained is not None:
+                    if disp is None or not disp.measures(p.prev_unconstrained, p.anchor):
+                        disp = Displacement(view, p.prev_unconstrained, p.anchor, previous=disp)
                     raw = hyper_gradient(
-                        view.to_2d(g),
-                        view.to_2d(p.prev_unconstrained),
-                        view.to_2d(p.anchor),
-                        gs.gamma,
+                        view.to_2d(g), disp.w_tilde, disp.w_anchor, gs.gamma,
+                        delta=disp.delta, dist=disp.dist,
                     )
                     adam_update_gamma(gs, anneal_gradient(raw, gs.kappa))
                 w_tilde = self.base.step(name, p.value, g)
+                disp = Displacement(view, w_tilde, p.anchor, previous=disp)
+                self.displacements[name] = disp
                 p.prev_unconstrained = w_tilde
-                p.value = view.from_2d(
-                    project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor), gs.gamma)
+                p.value = disp.projected(
+                    project_rows(disp.w_tilde, disp.w_anchor, gs.gamma,
+                                 delta=disp.delta, dist=disp.dist),
+                    gs.gamma,
                 )
             p.grad = None
 
     def rebase_anchor(self, gamma_init: float = GAMMA_INIT) -> None:
         rebase_anchor(self.params, self.gammas, gamma_init=gamma_init)
+        self.displacements.clear()

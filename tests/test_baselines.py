@@ -13,8 +13,9 @@ from projtune.baselines import (
     wise_interpolate,
     wise_interpolate_params,
 )
-from projtune.errors import ConfigError, DomainError
-from projtune.ftp import make_managed
+from projtune.errors import ConfigError, DomainError, StateError
+from projtune.ftp import FtpOptimizer, make_managed
+from projtune.hyperlr import HyperSgd
 from projtune.model import Batch, MlpSpec, backward, init_params
 from projtune.numerics import SeededRng, row_l1_distances
 from projtune.projection import project_rows
@@ -96,6 +97,22 @@ class TestAdamW:
         assert isinstance(make_base_optimizer("adamw", 0.1), AdamW)
         with pytest.raises(ConfigError):
             make_base_optimizer("lars", 0.1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda params: BaseOnlyOptimizer(params, Sgd(lr=0.1)).step,
+    lambda params: MarsSpOptimizer(params, Sgd(lr=0.1), gamma=0.5).step,
+    lambda params: lambda: TpgmOptimizer(params, Sgd(lr=0.1), None, inner_iters=0).step([]),
+    lambda params: FtpOptimizer(params, Sgd(lr=0.1)).step,
+    lambda params: HyperSgd(params, alpha0=0.1, kappa=0.0).step,
+], ids=["base-only", "mars-sp", "tpgm", "ftp", "hyper-sgd"])
+def test_missing_gradient_is_state_error_before_any_update(build):
+    params = make_managed({"w": np.ones((2, 2)), "b": np.ones(2)})
+    params["w"].grad = np.ones((2, 2))
+    before = params["w"].value
+    with pytest.raises(StateError):
+        build(params)()
+    assert params["w"].value is before
 
 
 def toy_problem(seed=0, widths=(3, 4, 2)):

@@ -238,13 +238,22 @@ class TestMethods:
 
     def test_divergence_raises_run_error_with_diagnostic_row(self, tmp_path):
         # decay feedback at an absurd learning rate multiplies the weights
-        # each step until they overflow, which poisons the loss
-        config = tiny_config(tmp_path, "boom", method="ft", epochs=20,
-                             lr=1e9, weight_decay=1.0, momentum=0.0)
-        with np.errstate(all="ignore"), pytest.raises(RunError, match="diverged"):
-            run_experiment(config)
-        last_row = (tmp_path / "boom" / "metrics.csv").read_text().splitlines()[-1]
-        assert "nan" in last_row or "inf" in last_row
+        # each step until they overflow, which poisons the loss; ftp projects
+        # only the biases, so its weights overflow the same way
+        for method, n_gammas in (("ft", 0), ("ftp", 3)):
+            config = tiny_config(tmp_path, f"boom-{method}", method=method, epochs=20,
+                                 lr=1e9, weight_decay=1.0, momentum=0.0,
+                                 exclude_set=("layer0.weight", "layer1.weight", "layer2.weight"))
+            with np.errstate(all="ignore"), pytest.raises(RunError, match="diverged"):
+                run_experiment(config)
+            rows = (tmp_path / f"boom-{method}" / "metrics.csv").read_text().splitlines()
+            header, before, last = (line.split(",") for line in rows[:1] + rows[-2:])
+            assert "nan" in last[1] or "inf" in last[1]
+            # the loss is checked before the step, so the radii are those of
+            # the step before, not ones a non-finite gradient corrupted
+            gamma_cols = [i for i, col in enumerate(header) if col.startswith("gamma.")]
+            assert len(gamma_cols) == n_gammas
+            assert [last[i] for i in gamma_cols] == [before[i] for i in gamma_cols]
 
 
 class TestResume:

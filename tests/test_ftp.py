@@ -150,6 +150,15 @@ class TestAdamUpdateGamma:
                 assert abs(raw - prev) <= 40 * gs.mu
                 prev = gs.gamma
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_rejected_before_state_changes(self, bad):
+        gs = GammaState(gamma=0.2)
+        adam_update_gamma(gs, -0.3)
+        before = GammaState(**vars(gs))
+        with pytest.raises(DomainError):
+            adam_update_gamma(gs, bad)
+        assert gs == before
+
     def test_kappa_validated_on_state(self):
         with pytest.raises(ConfigError):
             GammaState(kappa=2.0)
