@@ -14,9 +14,20 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .ftp import GammaState, ManagedParam, adam_update_gamma, hyper_gradient, require_grads
+from .ftp import (
+    GammaState,
+    ManagedParam,
+    ProjectedOptimizer,
+    adam_update_gamma,
+    hyper_gradient,
+    state_tensors,
+    tensor_group,
+)
 from .model import Batch
-from .projection import Displacement, ProjectionView, canonicalize, project_rows
+
+# The projection runs in ProjectedOptimizer (projtune.ftp); this name is
+# kept so that tracing tools which wrap it here still find it.
+from .projection import project_rows  # noqa: F401
 
 __all__ = [
     "AdamW",
@@ -66,10 +77,11 @@ class Sgd:
         return value - self.lr * g
 
     def get_state(self) -> dict:
-        return {"velocity": {k: v.copy() for k, v in self.velocity.items()}}
+        return {"kind": "sgd",
+                "tensors": {f"velocity/{k}": v.copy() for k, v in self.velocity.items()}}
 
     def set_state(self, state: dict) -> None:
-        self.velocity = {k: np.asarray(v, dtype=np.float64) for k, v in state["velocity"].items()}
+        self.velocity = tensor_group(state_tensors(state, "sgd"), "velocity")
 
 
 class AdamW:
@@ -115,16 +127,15 @@ class AdamW:
         return w - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def get_state(self) -> dict:
-        return {
-            "m": {k: a.copy() for k, a in self.m.items()},
-            "v": {k: a.copy() for k, a in self.v.items()},
-            "t": dict(self.t),
-        }
+        tensors = {f"m/{k}": a.copy() for k, a in self.m.items()}
+        tensors.update({f"v/{k}": a.copy() for k, a in self.v.items()})
+        return {"kind": "adamw", "t_counts": dict(self.t), "tensors": tensors}
 
     def set_state(self, state: dict) -> None:
-        self.m = {k: np.asarray(a, dtype=np.float64) for k, a in state["m"].items()}
-        self.v = {k: np.asarray(a, dtype=np.float64) for k, a in state["v"].items()}
-        self.t = {k: int(n) for k, n in state["t"].items()}
+        tensors = state_tensors(state, "adamw")
+        self.m = tensor_group(tensors, "m")
+        self.v = tensor_group(tensors, "v")
+        self.t = {k: int(n) for k, n in state.get("t_counts", {}).items()}
 
 
 def make_base_optimizer(
@@ -143,29 +154,24 @@ def make_base_optimizer(
     raise ConfigError(f"unknown base optimizer {kind!r}; choose 'sgd' or 'adamw'")
 
 
-class BaseOnlyOptimizer:
+class BaseOnlyOptimizer(ProjectedOptimizer):
     """Vanilla fine-tuning: every tensor gets exactly the base optimizer step."""
 
     def __init__(self, params: dict[str, ManagedParam], base):
-        self.params = params
-        self.base = base
-        self.gammas: dict[str, GammaState] = {}
+        super().__init__(params, base, exclude_set=params)
 
     def step(self) -> None:
-        require_grads(self.params)
-        for name, p in self.params.items():
-            p.value = self.base.step(name, p.value, p.grad)
-            p.grad = None
+        self._store(self._base_step())
 
 
-class MarsSpOptimizer:
+class MarsSpOptimizer(ProjectedOptimizer):
     """Base step followed by projection with fixed radii.
 
     ``gamma`` is either one shared radius for every layer (the usual,
     hand-tuned setting) or a per-tensor mapping, which supports replaying the
     radii another method learned. ``gamma = inf`` is an explicit sentinel for
     "never clamp", which makes the trajectory identical to the base optimizer
-    alone.
+    alone. Nothing is learned, so ``gammas`` stays empty.
     """
 
     def __init__(
@@ -175,17 +181,7 @@ class MarsSpOptimizer:
         gamma,
         exclude_set: Iterable[str] = (),
     ):
-        self.params = params
-        self.base = base
-        self.exclude = frozenset(exclude_set)
-        unknown = self.exclude - set(params)
-        if unknown:
-            raise ConfigError(f"exclude_set names not in params: {sorted(unknown)}")
-        self.views: dict[str, ProjectionView] = {
-            name: canonicalize(p.value, name=name)
-            for name, p in params.items()
-            if p.projectable and name not in self.exclude
-        }
+        super().__init__(params, base, exclude_set)
         if isinstance(gamma, dict):
             missing = set(self.views) - set(gamma)
             if missing:
@@ -196,34 +192,15 @@ class MarsSpOptimizer:
         bad = {n: g for n, g in self.fixed_gammas.items() if not g >= 0}
         if bad:
             raise ConfigError(f"radii must be nonnegative, got {bad}")
-        self.gammas: dict[str, GammaState] = {}
-        self.displacements: dict[str, Displacement] = {}
 
-    def gamma_values(self) -> dict[str, float]:
-        """The fixed radii, reported per tensor like the learned methods."""
-        return dict(self.fixed_gammas)
+    def radius(self, name: str) -> float:
+        return self.fixed_gammas[name]
 
     def step(self) -> None:
-        require_grads(self.params)
-        for name, p in self.params.items():
-            w_tilde = self.base.step(name, p.value, p.grad)
-            view = self.views.get(name)
-            if view is None:
-                p.value = w_tilde
-            else:
-                gamma = self.fixed_gammas[name]
-                disp = Displacement(view, w_tilde, p.anchor, previous=self.displacements.get(name))
-                self.displacements[name] = disp
-                p.prev_unconstrained = w_tilde
-                p.value = disp.projected(
-                    project_rows(disp.w_tilde, disp.w_anchor, gamma,
-                                 delta=disp.delta, dist=disp.dist),
-                    gamma,
-                )
-            p.grad = None
+        self._store(self._base_step())
 
 
-class TpgmOptimizer:
+class TpgmOptimizer(ProjectedOptimizer):
     """Constraint learning with a separate validation loop for each step.
 
     After the base update, ``inner_iters`` validation batches refine the
@@ -248,43 +225,14 @@ class TpgmOptimizer:
     ):
         if inner_iters < 0:
             raise ConfigError(f"inner_iters must be nonnegative, got {inner_iters}")
-        self.params = params
-        self.base = base
+        super().__init__(params, base, exclude_set)
         self.grad_fn = grad_fn
         self.inner_iters = int(inner_iters)
-        self.exclude = frozenset(exclude_set)
-        unknown = self.exclude - set(params)
-        if unknown:
-            raise ConfigError(f"exclude_set names not in params: {sorted(unknown)}")
-        self.views: dict[str, ProjectionView] = {}
-        self.gammas: dict[str, GammaState] = {}
-        for name, p in params.items():
-            if p.projectable and name not in self.exclude:
-                self.views[name] = canonicalize(p.value, name=name)
-                self.gammas[name] = GammaState(
-                    gamma=gamma_init, kappa=1.0, mu=mu, beta1=betas[0], beta2=betas[1], eps=eps
-                )
-        # this step's frozen updates, measured once for every inner
-        # projection and hyper-gradient and for the final projection
-        self.displacements: dict[str, Displacement] = {}
-
-    def gamma_values(self) -> dict[str, float]:
-        return {name: gs.gamma for name, gs in self.gammas.items()}
-
-    def _projected_values(self, w_tilde: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        values = {}
-        for name, wt in w_tilde.items():
-            disp = self.displacements.get(name)
-            if disp is None:
-                values[name] = wt
-            else:
-                gamma = self.gammas[name].gamma
-                values[name] = disp.projected(
-                    project_rows(disp.w_tilde, disp.w_anchor, gamma,
-                                 delta=disp.delta, dist=disp.dist),
-                    gamma,
-                )
-        return values
+        self.gammas = {
+            name: GammaState(gamma=gamma_init, kappa=1.0, mu=mu, beta1=betas[0], beta2=betas[1],
+                             eps=eps)
+            for name in self.views
+        }
 
     def step(self, val_batches: Sequence[Batch]) -> None:
         """One training step consuming ``inner_iters`` validation batches."""
@@ -292,31 +240,18 @@ class TpgmOptimizer:
             raise ConfigError(
                 f"need {self.inner_iters} validation batches, got {len(val_batches)}"
             )
-        require_grads(self.params)
-        w_tilde = {
-            name: self.base.step(name, p.value, p.grad) for name, p in self.params.items()
-        }
-        self.displacements = {
-            name: Displacement(view, w_tilde[name], self.params[name].anchor,
-                               previous=self.displacements.get(name))
-            for name, view in self.views.items()
-        }
-        for k in range(self.inner_iters):
-            probe = self._projected_values(w_tilde)
-            _, val_grads = self.grad_fn(probe, val_batches[k])
+        w_tilde = self._base_step()
+        for batch in val_batches[:self.inner_iters]:
+            probe = {name: self._project(name) if name in self.views else wt
+                     for name, wt in w_tilde.items()}
+            _, val_grads = self.grad_fn(probe, batch)
             for name, gs in self.gammas.items():
                 disp = self.displacements[name]
-                g = hyper_gradient(
+                adam_update_gamma(gs, hyper_gradient(
                     disp.view.to_2d(val_grads[name]), disp.w_tilde, disp.w_anchor, gs.gamma,
                     delta=disp.delta, dist=disp.dist,
-                )
-                adam_update_gamma(gs, g)
-        final = self._projected_values(w_tilde)
-        for name, p in self.params.items():
-            if name in self.views:
-                p.prev_unconstrained = w_tilde[name]
-            p.value = final[name]
-            p.grad = None
+                ))
+        self._store(w_tilde)
 
 
 def l2_sp_grad(param: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:

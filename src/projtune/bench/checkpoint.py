@@ -5,13 +5,16 @@ crc32(u32) | header JSON | array blob``. The CRC covers header and blob, so
 a truncated or bit-flipped file is rejected before any state is built.
 Arrays are little-endian float64 with no transformation, which makes a
 save/load round trip bit-identical and lets a resumed run continue exactly
-where an uninterrupted one would be.
+where an uninterrupted one would be. A checkpoint is written to a sibling
+temporary file and renamed over its path, so an interrupted write leaves the
+previous file as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -89,11 +92,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "arrays": directory,
     }
     header = json.dumps(header_obj, sort_keys=True).encode("utf-8")
-    crc = zlib.crc32(header + blob) & 0xFFFFFFFF
-    with open(path, "wb") as f:
-        f.write(struct.pack(_HEADER_FMT, MAGIC, VERSION, len(header), len(blob), crc))
-        f.write(header)
-        f.write(blob)
+    crc = zlib.crc32(blob, zlib.crc32(header))  # the crc of header + blob, without joining them
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(struct.pack(_HEADER_FMT, MAGIC, VERSION, len(header), len(blob), crc))
+            f.write(header)
+            f.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _split_key(key: str) -> tuple[str, str]:

@@ -28,7 +28,7 @@ from ..baselines import (
     make_base_optimizer,
     wise_interpolate_params,
 )
-from ..errors import DomainError, RunError
+from ..errors import DomainError, RunError, StateError
 from ..ftp import FtpOptimizer, GammaState, make_managed
 from ..hyperlr import HyperSgd
 from ..model import Batch, MlpSpec, backward, forward, init_params
@@ -204,11 +204,6 @@ def _build_optimizer(config: ExperimentConfig, params, counting: CountingModel):
     raise RunError(f"no optimizer wired for method {method!r}")
 
 
-def _gamma_values(optimizer) -> dict[str, float]:
-    getter = getattr(optimizer, "gamma_values", None)
-    return getter() if getter is not None else {}
-
-
 def _constraint_excess(optimizer, params) -> Optional[float]:
     """Worst (distance - radius) over projected tensors; None if nothing projects.
 
@@ -216,15 +211,13 @@ def _constraint_excess(optimizer, params) -> Optional[float]:
     projection measured; rows it rescaled, and tensors whose state has been
     replaced since, are measured from the stored weights.
     """
-    views = getattr(optimizer, "views", None)
-    if not views:
+    if not optimizer.views:
         return None
-    gammas = _gamma_values(optimizer)
-    displacements = getattr(optimizer, "displacements", {})
+    gammas = optimizer.gamma_values()
     worst = -math.inf
-    for name, view in views.items():
+    for name, view in optimizer.views.items():
         p = params[name]
-        disp = displacements.get(name)
+        disp = optimizer.displacements.get(name)
         if (disp is None or disp.value is not p.value
                 or not disp.measures(p.prev_unconstrained, p.anchor)):
             d = mars_norm(view.to_2d(p.value) - view.to_2d(p.anchor))
@@ -240,53 +233,10 @@ def _constraint_excess(optimizer, params) -> Optional[float]:
     return worst
 
 
-def _optimizer_state(optimizer) -> tuple[dict, dict[str, np.ndarray]]:
-    """(meta, tensors) for checkpointing, covering base and wrapper state."""
-    base = getattr(optimizer, "base", None)
-    meta: dict = {}
-    tensors: dict[str, np.ndarray] = {}
-    if base is not None:
-        state = base.get_state()
-        if "velocity" in state:
-            meta["kind"] = "sgd"
-            tensors.update({f"velocity/{k}": v for k, v in state["velocity"].items()})
-        else:
-            meta["kind"] = "adamw"
-            meta["t_counts"] = state["t"]
-            tensors.update({f"m/{k}": v for k, v in state["m"].items()})
-            tensors.update({f"v/{k}": v for k, v in state["v"].items()})
-    if isinstance(optimizer, HyperSgd):
-        meta["kind"] = "hyper-sgd"
-        meta["alpha"] = optimizer.state.alpha
-        if optimizer.state.prev_grad is not None:
-            tensors["hyper/prev_grad"] = optimizer.state.prev_grad
-    return meta, tensors
-
-
-def _restore_optimizer_state(optimizer, meta: dict, tensors: dict[str, np.ndarray]) -> None:
-    def group(prefix):
-        plen = len(prefix) + 1
-        return {k[plen:]: v for k, v in tensors.items() if k.startswith(prefix + "/")}
-
-    base = getattr(optimizer, "base", None)
-    if base is not None and meta.get("kind") == "sgd":
-        base.set_state({"velocity": group("velocity")})
-    elif base is not None and meta.get("kind") == "adamw":
-        base.set_state({"m": group("m"), "v": group("v"), "t": meta.get("t_counts", {})})
-    if isinstance(optimizer, HyperSgd):
-        optimizer.state.alpha = float(meta["alpha"])
-        prev = tensors.get("hyper/prev_grad")
-        optimizer.state.prev_grad = None if prev is None else np.asarray(prev)
-
-
 def _run_checkpoint(
     config: ExperimentConfig, spec: MlpSpec, params, optimizer, iteration: int,
     counting: CountingModel,
 ) -> Checkpoint:
-    meta, tensors = _optimizer_state(optimizer)
-    gammas = {
-        name: asdict(gs) for name, gs in getattr(optimizer, "gammas", {}).items()
-    }
     return Checkpoint(
         model_spec=spec,
         iteration=iteration,
@@ -297,8 +247,8 @@ def _run_checkpoint(
             for name, p in params.items()
             if p.prev_unconstrained is not None
         },
-        gammas=gammas,
-        optimizer={**meta, "tensors": tensors},
+        gammas={name: asdict(gs) for name, gs in optimizer.gammas.items()},
+        optimizer=optimizer.get_state(),
         rng={"seed": config.seed},
         extra={
             "phase": "finetune",
@@ -309,19 +259,32 @@ def _run_checkpoint(
     )
 
 
-def _restore_from_checkpoint(ckpt: Checkpoint, params, optimizer, counting: CountingModel):
+def _restore_from_checkpoint(
+    ckpt: Checkpoint, config: ExperimentConfig, params, optimizer, counting: CountingModel,
+):
+    """Load a mid-run checkpoint of this very run into the live state; return its iteration.
+
+    A checkpoint written by another method, seed, set of learned radii (an
+    exclude set) or base optimizer raises RunError before anything is restored.
+    """
+    for what, stored, wanted in (("method", ckpt.extra.get("method"), config.method),
+                                 ("seed", ckpt.rng.get("seed"), config.seed),
+                                 ("learned radii", sorted(ckpt.gammas), sorted(optimizer.gammas))):
+        if stored != wanted:
+            raise RunError(f"resume checkpoint was written with {what} {stored!r}, "
+                           f"this run has {what} {wanted!r}")
+    try:
+        optimizer.set_state(ckpt.optimizer)
+    except StateError as exc:
+        raise RunError(f"resume checkpoint does not fit this run: {exc}") from None
     for name, p in params.items():
         p.value = ckpt.values[name].copy()
         p.anchor = ckpt.anchors[name].copy()
         prev = ckpt.prev_unconstrained.get(name)
         p.prev_unconstrained = None if prev is None else prev.copy()
         p.grad = None
-    live_gammas = getattr(optimizer, "gammas", {})
     for name, state in ckpt.gammas.items():
-        live_gammas[name] = GammaState(**state)
-    tensors = ckpt.optimizer.get("tensors", {})
-    meta = {k: v for k, v in ckpt.optimizer.items() if k != "tensors"}
-    _restore_optimizer_state(optimizer, meta, tensors)
+        optimizer.gammas[name] = GammaState(**state)
     counting.fwd_count = int(ckpt.extra.get("fwd_count", 0))
     counting.bwd_count = int(ckpt.extra.get("bwd_count", 0))
     return ckpt.iteration
@@ -365,10 +328,10 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         ckpt = load_checkpoint(resume)
         if ckpt.spec_hash != spec_hash(spec):
             raise RunError(f"resume checkpoint {resume} was built for a different model")
-        start_iter = _restore_from_checkpoint(ckpt, params, optimizer, counting)
+        start_iter = _restore_from_checkpoint(ckpt, config, params, optimizer, counting)
 
     total_iters = config.total_iters(len(ft_train))
-    gamma_names = tuple(_gamma_values(optimizer))
+    gamma_names = tuple(optimizer.gamma_values())
     record = RunRecord(gamma_names=gamma_names)
     root = SeededRng(config.seed)
 
@@ -383,7 +346,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         if not math.isfinite(loss):
             # the diagnostic row reports the state before this step, which never runs
             record.add_row(t, loss, time.perf_counter() - tic, counting.fwd_count,
-                           counting.bwd_count, _gamma_values(optimizer))
+                           counting.bwd_count, optimizer.gamma_values())
             emit_metrics(record, "csv", outdir / "metrics.csv")
             record.summary = {"method": config.method, "seed": config.seed,
                               "diverged_at": t}
@@ -410,7 +373,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
 
         secs = time.perf_counter() - tic
         record.add_row(t, loss, secs, counting.fwd_count, counting.bwd_count,
-                       _gamma_values(optimizer))
+                       optimizer.gamma_values())
         excess = _constraint_excess(optimizer, params)
         if excess is not None:
             max_excess = max(max_excess, excess)

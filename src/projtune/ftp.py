@@ -7,6 +7,10 @@ positive constraint gradients by kappa, (3) apply one Adam step to gamma, and
 (4) run the wrapped base optimizer and project the result onto the gamma
 MARS ball around the frozen anchor weights. Tensors in the exclude set only
 receive the base optimizer step, bit-identically to running it standalone.
+
+The base stepping, the measurement of each update and the projection live in
+:class:`ProjectedOptimizer`, which every projecting method (and base-only
+fine-tuning) extends with its own choice of radii.
 """
 
 from __future__ import annotations
@@ -32,12 +36,15 @@ __all__ = [
     "FtpOptimizer",
     "GammaState",
     "ManagedParam",
+    "ProjectedOptimizer",
     "adam_update_gamma",
     "anneal_gradient",
     "hyper_gradient",
     "make_managed",
     "rebase_anchor",
     "require_grads",
+    "state_tensors",
+    "tensor_group",
 ]
 
 # Constraints start effectively closed: the first step can barely leave the anchor.
@@ -104,6 +111,24 @@ def require_grads(params: dict[str, ManagedParam]) -> None:
     missing = [name for name, p in params.items() if p.grad is None]
     if missing:
         raise StateError(f"gradients missing for: {missing}")
+
+
+def state_tensors(state: dict, kind: str) -> dict[str, np.ndarray]:
+    """The tensors of an optimizer ``state`` of ``kind``; StateError for another kind.
+
+    Every optimizer's ``get_state`` returns ``{"kind": ..., "tensors": {...}}``
+    plus its scalar entries, the form a checkpoint stores.
+    """
+    if state.get("kind") != kind:
+        raise StateError(f"optimizer state of kind {state.get('kind')!r} does not fit {kind!r}")
+    return state.get("tensors", {})
+
+
+def tensor_group(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The ``prefix/name`` entries of ``tensors``, keyed by name."""
+    start = len(prefix) + 1
+    return {key[start:]: np.asarray(arr, dtype=np.float64)
+            for key, arr in tensors.items() if key.startswith(prefix + "/")}
 
 
 @dataclass
@@ -218,13 +243,101 @@ def rebase_anchor(
         gs.reset(gamma_init)
 
 
-class FtpOptimizer:
+class ProjectedOptimizer:
+    """A base optimizer whose updates are projected onto per-tensor MARS balls.
+
+    ``base`` is any object with ``step(name, value, grad) -> new_value`` and
+    a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
+    whose state is this optimizer's state. Every tensor that is projectable
+    and not in ``exclude_set`` is projected around its anchor; the rest
+    receive only the base step, bit-identically to running it standalone.
+
+    Subclasses differ only in how they choose each tensor's radius. Their
+    ``step`` base-steps every tensor (:meth:`_base_step`), sets the radii
+    (learned ones live in ``gammas``; :meth:`radius` reads them) and projects
+    the updates into place (:meth:`_store`).
+    """
+
+    def __init__(self, params: dict[str, ManagedParam], base, exclude_set: Iterable[str] = ()):
+        self.params = params
+        self.base = base
+        exclude = frozenset(exclude_set)
+        unknown = exclude - set(params)
+        if unknown:
+            raise ConfigError(f"exclude_set names not in params: {sorted(unknown)}")
+        self.views: dict[str, ProjectionView] = {
+            name: canonicalize(p.value, name=name)
+            for name, p in params.items()
+            if p.projectable and name not in exclude
+        }
+        self.gammas: dict[str, GammaState] = {}
+        # the latest update of each projected tensor, measured once: its
+        # projection, the next step's hyper-gradient and the run loop's
+        # constraint check all read it
+        self.displacements: dict[str, Displacement] = {}
+
+    def projected_names(self) -> list[str]:
+        return list(self.views)
+
+    def radius(self, name: str) -> float:
+        return self.gammas[name].gamma
+
+    def gamma_values(self) -> dict[str, float]:
+        return {name: self.radius(name) for name in self.views}
+
+    def get_state(self) -> dict:
+        return self.base.get_state()
+
+    def set_state(self, state: dict) -> None:
+        self.base.set_state(state)
+
+    def rebase_anchor(self, gamma_init: float = GAMMA_INIT) -> None:
+        rebase_anchor(self.params, self.gammas, gamma_init=gamma_init)
+        self.displacements.clear()
+
+    def _measure(self, name: str, source: np.ndarray) -> Displacement:
+        """The displacement of ``source`` from the anchor: the cached one while it is current."""
+        p = self.params[name]
+        disp = self.displacements.get(name)
+        if disp is None or not disp.measures(source, p.anchor):
+            disp = Displacement(self.views[name], source, p.anchor, previous=disp)
+            self.displacements[name] = disp
+        return disp
+
+    def _base_step(self) -> dict[str, np.ndarray]:
+        """Base-step every tensor and measure each projected update; return the updates."""
+        require_grads(self.params)
+        w_tilde = {name: self.base.step(name, p.value, p.grad) for name, p in self.params.items()}
+        for name in self.views:
+            self._measure(name, w_tilde[name])
+        return w_tilde
+
+    def _project(self, name: str) -> np.ndarray:
+        """The measured update of ``name`` projected at its current radius."""
+        disp = self.displacements[name]
+        gamma = self.radius(name)
+        return disp.projected(
+            project_rows(disp.w_tilde, disp.w_anchor, gamma, delta=disp.delta, dist=disp.dist),
+            gamma,
+        )
+
+    def _store(self, w_tilde: dict[str, np.ndarray]) -> None:
+        """Put every update in place, projected where it is measured, and consume the gradients."""
+        for name, p in self.params.items():
+            if name in self.views:
+                p.prev_unconstrained = w_tilde[name]
+                p.value = self._project(name)
+            else:
+                p.value = w_tilde[name]
+            p.grad = None
+
+
+class FtpOptimizer(ProjectedOptimizer):
     """Wraps a base optimizer with learned per-tensor projection constraints.
 
-    ``base`` is any object with ``step(name, value, grad) -> new_value``
-    (e.g. :class:`projtune.baselines.Sgd`). Configuration mirrors the usual
-    optimizer keys plus ``k`` (positive-gradient annealing rate, in [0, 1])
-    and ``exclude_set`` (parameter names never projected).
+    Configuration mirrors the usual optimizer keys plus ``k`` (positive-gradient
+    annealing rate, in [0, 1]) and ``exclude_set`` (parameter names never
+    projected).
     """
 
     def __init__(
@@ -238,64 +351,32 @@ class FtpOptimizer:
         eps: float = 1e-8,
         gamma_init: float = GAMMA_INIT,
     ):
-        self.params = params
-        self.base = base
-        self.exclude = frozenset(exclude_set)
-        unknown = self.exclude - set(params)
-        if unknown:
-            raise ConfigError(f"exclude_set names not in params: {sorted(unknown)}")
-        self.views: dict[str, ProjectionView] = {}
-        self.gammas: dict[str, GammaState] = {}
-        for name, p in params.items():
-            if p.projectable and name not in self.exclude:
-                self.views[name] = canonicalize(p.value, name=name)
-                self.gammas[name] = GammaState(
-                    gamma=gamma_init, kappa=k, mu=mu, beta1=betas[0], beta2=betas[1], eps=eps
-                )
-        # the latest update of each projected tensor, measured once: this
-        # step's projection and the next step's hyper-gradient both read it
-        self.displacements: dict[str, Displacement] = {}
-
-    def projected_names(self) -> list[str]:
-        return list(self.gammas)
-
-    def gamma_values(self) -> dict[str, float]:
-        return {name: gs.gamma for name, gs in self.gammas.items()}
+        super().__init__(params, base, exclude_set)
+        self.gammas = {
+            name: GammaState(gamma=gamma_init, kappa=k, mu=mu, beta1=betas[0], beta2=betas[1],
+                             eps=eps)
+            for name in self.views
+        }
 
     def step(self) -> None:
         """One optimization step; consumes the gradients stored on the params.
 
         Exactly one loss/gradient evaluation feeds both the model update and
-        the constraint update.
+        the constraint update. Every radius gradient is taken, and checked,
+        before any radius or tensor moves, so a failed step leaves no trace.
         """
         require_grads(self.params)
-        for name, p in self.params.items():
-            g = p.grad
-            gs = self.gammas.get(name)
-            if gs is None:
-                p.value = self.base.step(name, p.value, g)
-            else:
-                view = self.views[name]
-                disp = self.displacements.get(name)
-                if p.prev_unconstrained is not None:
-                    if disp is None or not disp.measures(p.prev_unconstrained, p.anchor):
-                        disp = Displacement(view, p.prev_unconstrained, p.anchor, previous=disp)
-                    raw = hyper_gradient(
-                        view.to_2d(g), disp.w_tilde, disp.w_anchor, gs.gamma,
-                        delta=disp.delta, dist=disp.dist,
-                    )
-                    adam_update_gamma(gs, anneal_gradient(raw, gs.kappa))
-                w_tilde = self.base.step(name, p.value, g)
-                disp = Displacement(view, w_tilde, p.anchor, previous=disp)
-                self.displacements[name] = disp
-                p.prev_unconstrained = w_tilde
-                p.value = disp.projected(
-                    project_rows(disp.w_tilde, disp.w_anchor, gs.gamma,
-                                 delta=disp.delta, dist=disp.dist),
-                    gs.gamma,
-                )
-            p.grad = None
-
-    def rebase_anchor(self, gamma_init: float = GAMMA_INIT) -> None:
-        rebase_anchor(self.params, self.gammas, gamma_init=gamma_init)
-        self.displacements.clear()
+        grads = {}
+        for name, gs in self.gammas.items():
+            p = self.params[name]
+            if p.prev_unconstrained is not None:
+                disp = self._measure(name, p.prev_unconstrained)
+                raw = hyper_gradient(disp.view.to_2d(p.grad), disp.w_tilde, disp.w_anchor,
+                                     gs.gamma, delta=disp.delta, dist=disp.dist)
+                grads[name] = anneal_gradient(raw, gs.kappa)
+        bad = [name for name, g in grads.items() if not math.isfinite(g)]
+        if bad:
+            raise DomainError(f"non-finite constraint gradient for {bad}")
+        for name, g in grads.items():
+            adam_update_gamma(self.gammas[name], g)
+        self._store(self._base_step())

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .ftp import ManagedParam
+from .ftp import ManagedParam, state_tensors
 
 __all__ = ["ALPHA_FLOOR", "HyperLrState", "HyperSgd", "hyper_sgd_lr_step"]
 
@@ -66,11 +66,26 @@ class HyperSgd:
     def __init__(self, params: dict[str, ManagedParam], alpha0: float, kappa: float):
         self.params = params
         self.state = HyperLrState(alpha=float(alpha0), kappa_lr=float(kappa))
+        # nothing is projected
+        self.views: dict = {}
         self.gammas: dict = {}
 
     @property
     def alpha(self) -> float:
         return self.state.alpha
+
+    def gamma_values(self) -> dict[str, float]:
+        return {}
+
+    def get_state(self) -> dict:
+        prev = self.state.prev_grad
+        return {"kind": "hyper-sgd", "alpha": self.state.alpha,
+                "tensors": {} if prev is None else {"hyper/prev_grad": prev}}
+
+    def set_state(self, state: dict) -> None:
+        prev = state_tensors(state, "hyper-sgd").get("hyper/prev_grad")
+        self.state.alpha = float(state["alpha"])
+        self.state.prev_grad = None if prev is None else np.asarray(prev)
 
     def step(self) -> None:
         hyper_sgd_lr_step(self.state, self.params)

@@ -46,7 +46,6 @@ class ProjectionView:
     source_shape: tuple[int, ...]
     rows: int
     cols: int
-    rule: str
 
     def to_2d(self, tensor: np.ndarray) -> np.ndarray:
         if tuple(tensor.shape) != self.source_shape:
@@ -59,33 +58,28 @@ class ProjectionView:
         return np.asarray(mat, dtype=np.float64).reshape(self.source_shape)
 
 
-def canonicalize(tensor, kind: str = "auto", name: str = "") -> ProjectionView:
+def canonicalize(tensor, name: str = "") -> ProjectionView:
     """Build the canonical 2-D view for a tensor.
 
     Rules: matrices stay as-is, a length-n vector becomes one 1 x n row, and
     rank-3/4 tensors (convolution kernels) keep the leading axis as rows and
     flatten the rest. Higher ranks are unsupported.
-
-    ``kind`` is informational ("weight", "bias", "conv_kernel" or "auto") and
-    is recorded in the view's rule when given.
     """
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.size == 0:
         raise DomainError(f"{name or 'tensor'}: empty tensor has no projection view")
     shape = tuple(arr.shape)
     if arr.ndim == 2:
-        rows, cols, rule = shape[0], shape[1], "matrix"
+        rows, cols = shape
     elif arr.ndim == 1:
-        rows, cols, rule = 1, shape[0], "vector-row"
+        rows, cols = 1, shape[0]
     elif arr.ndim in (3, 4):
-        rows, cols, rule = shape[0], int(np.prod(shape[1:])), "flatten-trailing"
+        rows, cols = shape[0], int(np.prod(shape[1:]))
     else:
         raise UnsupportedShapeError(
             f"{name or 'tensor'}: rank-{arr.ndim} tensors have no canonical row view"
         )
-    if kind != "auto":
-        rule = f"{rule}({kind})"
-    return ProjectionView(name=name, source_shape=shape, rows=rows, cols=cols, rule=rule)
+    return ProjectionView(name=name, source_shape=shape, rows=rows, cols=cols)
 
 
 def row_displacement(w_tilde: np.ndarray, w_anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -115,6 +115,42 @@ def test_missing_gradient_is_state_error_before_any_update(build):
     assert params["w"].value is before
 
 
+@pytest.mark.parametrize("build", [
+    lambda params: BaseOnlyOptimizer(params, Sgd(lr=0.1, momentum=0.9)),
+    lambda params: MarsSpOptimizer(params, AdamW(lr=0.1), gamma=0.5),
+    lambda params: TpgmOptimizer(params, Sgd(lr=0.1, momentum=0.9), None, inner_iters=0),
+    lambda params: FtpOptimizer(params, AdamW(lr=0.1)),
+    lambda params: HyperSgd(params, alpha0=0.1, kappa=0.5),
+], ids=["base-only", "mars-sp", "tpgm", "ftp", "hyper-sgd"])
+def test_optimizer_state_round_trips_and_rejects_another_kind(build):
+    def stepped():
+        params = make_managed({"w": np.ones((2, 2)), "b": np.ones(2)})
+        opt = build(params)
+        for t in range(2):
+            for p in params.values():
+                p.grad = np.full(p.value.shape, 0.5 + t)
+            if isinstance(opt, TpgmOptimizer):
+                opt.step([])
+            else:
+                opt.step()
+        return opt
+
+    state = stepped().get_state()
+    assert state["tensors"]
+    fresh = build(make_managed({"w": np.ones((2, 2)), "b": np.ones(2)}))
+    fresh.set_state(state)
+    again = fresh.get_state()
+    assert {k: v for k, v in again.items() if k != "tensors"} == \
+        {k: v for k, v in state.items() if k != "tensors"}
+    assert again["tensors"].keys() == state["tensors"].keys()
+    for key, arr in state["tensors"].items():
+        assert again["tensors"][key].tobytes() == arr.tobytes(), key
+    for other in ("sgd", "adamw", "hyper-sgd", None):
+        if other != state["kind"]:
+            with pytest.raises(StateError, match="kind"):
+                fresh.set_state({**state, "kind": other})
+
+
 def toy_problem(seed=0, widths=(3, 4, 2)):
     spec = MlpSpec(widths=widths, activations=("tanh",) * (len(widths) - 2), loss="softmax_ce")
     rng = SeededRng(seed)

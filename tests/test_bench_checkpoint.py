@@ -55,6 +55,44 @@ class TestRoundTrip:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+class FailingFile:
+    """A file whose second write fails, as a full disk or a crash would."""
+
+    def __init__(self, f):
+        self.f = f
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError("disk full")
+        return self.f.write(data)
+
+
+def test_interrupted_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    from projtune.bench import checkpoint as checkpoint_module
+
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(sample_checkpoint(0), path)
+    good = path.read_bytes()
+    monkeypatch.setattr(checkpoint_module, "open",
+                        lambda *args, **kw: FailingFile(open(*args, **kw)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(sample_checkpoint(1), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    back = load_checkpoint(path)
+    np.testing.assert_array_equal(back.values["layer0.weight"],
+                                  sample_checkpoint(0).values["layer0.weight"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+
 class TestCorruption:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "state.ckpt"

@@ -17,6 +17,9 @@ from projtune.model import MlpSpec, init_params
 from projtune.numerics import SeededRng
 
 
+METHODS = ("ft", "linear-probe", "lp-ft", "l2-sp", "mars-sp", "tpgm", "ftp", "hyper-sgd")
+
+
 def tiny_config(tmp_path, tag, **kw):
     """Small, fast experiment; ~1s budget across this module's tests."""
     defaults = dict(
@@ -210,9 +213,7 @@ class TestPassCounts:
 
 
 class TestMethods:
-    @pytest.mark.parametrize(
-        "method", ["ft", "linear-probe", "lp-ft", "l2-sp", "mars-sp", "tpgm", "ftp", "hyper-sgd"]
-    )
+    @pytest.mark.parametrize("method", METHODS)
     def test_every_method_completes(self, tmp_path, method):
         rec = run_experiment(tiny_config(tmp_path, method, method=method, epochs=4))
         assert len(rec.rows) == rec.summary["iterations"]
@@ -256,25 +257,54 @@ class TestMethods:
             assert [last[i] for i in gamma_cols] == [before[i] for i in gamma_cols]
 
 
+def assert_same_checkpoint(a, b):
+    """Every numeric and bookkeeping field of two checkpoints, arrays bit for bit."""
+    assert a.iteration == b.iteration
+    assert a.gammas == b.gammas
+    assert a.rng == b.rng and a.extra == b.extra
+    for group in ("values", "anchors", "prev_unconstrained"):
+        x, y = getattr(a, group), getattr(b, group)
+        assert x.keys() == y.keys(), group
+        for name in x:
+            assert x[name].tobytes() == y[name].tobytes(), (group, name)
+    meta_a = {k: v for k, v in a.optimizer.items() if k != "tensors"}
+    meta_b = {k: v for k, v in b.optimizer.items() if k != "tensors"}
+    assert meta_a == meta_b
+    ta, tb = a.optimizer["tensors"], b.optimizer["tensors"]
+    assert ta.keys() == tb.keys()
+    for key in ta:
+        assert ta[key].tobytes() == tb[key].tobytes(), key
+
+
 class TestResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        for method in ("ftp", "tpgm", "hyper-sgd", "ft"):
-            full_cfg = tiny_config(tmp_path, f"{method}-full", method=method,
-                                   epochs=8, checkpoint_every=0)
-            run_experiment(full_cfg)
-            half_cfg = tiny_config(tmp_path, f"{method}-half", method=method,
-                                   epochs=8, checkpoint_every=1)
-            half_total = half_cfg.total_iters(half_cfg.finetune_n)
-            run_experiment(half_cfg)
-            mid = tmp_path / f"{method}-half" / f"ckpt_iter{half_total // 2}.ckpt"
-            assert mid.exists()
-            resumed_cfg = tiny_config(tmp_path, f"{method}-resumed", method=method, epochs=8)
-            run_experiment(resumed_cfg, resume=mid)
-            a = load_checkpoint(tmp_path / f"{method}-full" / "state.ckpt")
-            b = load_checkpoint(tmp_path / f"{method}-resumed" / "state.ckpt")
-            for name in a.values:
-                np.testing.assert_array_equal(a.values[name], b.values[name])
-            assert a.gammas == b.gammas
+        for method in METHODS:
+            for base in ("sgd", "adamw"):
+                tag = f"{method}-{base}"
+                kw = dict(method=method, base=base, epochs=8)
+                if base == "adamw":
+                    kw["lr"] = 0.01
+                run_experiment(tiny_config(tmp_path, f"{tag}-full", checkpoint_every=0, **kw))
+                half_cfg = tiny_config(tmp_path, f"{tag}-half", checkpoint_every=1, **kw)
+                half_total = half_cfg.total_iters(half_cfg.finetune_n)
+                run_experiment(half_cfg)
+                mid = tmp_path / f"{tag}-half" / f"ckpt_iter{half_total // 2}.ckpt"
+                assert mid.exists()
+                run_experiment(tiny_config(tmp_path, f"{tag}-resumed", **kw), resume=mid)
+                a = load_checkpoint(tmp_path / f"{tag}-full" / "state.ckpt")
+                b = load_checkpoint(tmp_path / f"{tag}-resumed" / "state.ckpt")
+                assert_same_checkpoint(a, b)
+
+    @pytest.mark.parametrize("change", [
+        {"method": "mars-sp"}, {"seed": 1}, {"base": "adamw"}, {"method": "hyper-sgd"},
+        {"exclude_set": ("layer0.weight",)},
+    ], ids=["method", "seed", "base", "optimizer-kind", "exclude-set"])
+    def test_mismatched_resume_is_run_error(self, tmp_path, change):
+        run_experiment(tiny_config(tmp_path, "src", method="ftp", epochs=2, checkpoint_every=5))
+        mid = tmp_path / "src" / "ckpt_iter5.ckpt"
+        config = tiny_config(tmp_path, "resumed", **{"method": "ftp", "epochs": 2, **change})
+        with pytest.raises(RunError, match="resume checkpoint"):
+            run_experiment(config, resume=mid)
 
     def test_missing_resume_checkpoint_rejected(self, tmp_path):
         config = tiny_config(tmp_path, "gone")

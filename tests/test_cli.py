@@ -56,6 +56,19 @@ class TestPretrainFinetune:
                        "--set", f"pretrain.path={outdir / 'pretrain.ckpt'}",
                        "--resume", mid) == 0
 
+    def test_mismatched_resume_is_clean_error(self, tmp_path, conf_file, capsys):
+        outdir = tmp_path / "resumable"
+        assert run_cli("finetune", "--config", conf_file,
+                       "--set", f"outdir={outdir}", "--set", "checkpoint_every=3") == 0
+        mid = next(outdir.glob("ckpt_iter*.ckpt"))
+        capsys.readouterr()
+        assert run_cli("finetune", "--config", conf_file,
+                       "--set", f"outdir={tmp_path / 'resumed'}", "--set", "base=adamw",
+                       "--set", f"pretrain.path={outdir / 'pretrain.ckpt'}",
+                       "--resume", mid) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resume checkpoint")
+
 
 class TestEvaluateAudit:
     @pytest.fixture

@@ -136,12 +136,11 @@ def assert_same_state(params, ref, opt, ref_gammas, base, ref_base):
         n: asdict(g) for n, g in ref_gammas.items()
     }
     state, ref_state = base.get_state(), ref_base.get_state()
-    for group in state:
-        if group == "t":
-            assert state["t"] == ref_state["t"]
-            continue
-        for name, buf in state[group].items():
-            assert buf.tobytes() == ref_state[group][name].tobytes(), (group, name)
+    tensors, ref_tensors = state.pop("tensors"), ref_state.pop("tensors")
+    assert state == ref_state
+    assert tensors.keys() == ref_tensors.keys()
+    for key, buf in tensors.items():
+        assert buf.tobytes() == ref_tensors[key].tobytes(), key
 
 
 def restore_as_checkpoint(params, shift):

@@ -260,6 +260,28 @@ class TestFtpOptimizer:
         with pytest.raises(DomainError):
             opt.step()
 
+    def test_non_finite_radius_gradient_leaves_no_trace(self):
+        params = make_managed({"a": np.ones((2, 2)), "b": np.ones((2, 2))})
+        base = Sgd(lr=1.0, momentum=0.9)
+        opt = FtpOptimizer(params, base)
+        for p in params.values():
+            p.grad = np.ones((2, 2))
+        opt.step()  # both tensors leave their balls, so every row is active
+        params["a"].grad = np.ones((2, 2))
+        params["b"].grad = np.array([[np.nan, 1.0], [1.0, 1.0]])
+        before = {n: (p.value.copy(), p.prev_unconstrained.copy()) for n, p in params.items()}
+        gammas = {n: vars(gs).copy() for n, gs in opt.gammas.items()}
+        velocity = {n: v.copy() for n, v in base.velocity.items()}
+        with pytest.raises(DomainError, match="non-finite"):
+            opt.step()
+        for name, p in params.items():
+            assert p.value.tobytes() == before[name][0].tobytes(), name
+            assert p.prev_unconstrained.tobytes() == before[name][1].tobytes(), name
+        assert {n: vars(gs) for n, gs in opt.gammas.items()} == gammas
+        assert base.velocity.keys() == velocity.keys()
+        for name, buf in velocity.items():
+            assert base.velocity[name].tobytes() == buf.tobytes(), name
+
     def test_one_gradient_consumed_per_step(self):
         spec, params, batch = toy_setup(8)
         opt = FtpOptimizer(params, Sgd(lr=0.1))

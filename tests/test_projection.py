@@ -12,10 +12,9 @@ class TestCanonicalize:
     def test_matrix_unchanged(self):
         v = canonicalize(np.zeros((3, 5)), name="w")
         assert (v.rows, v.cols) == (3, 5)
-        assert v.rule == "matrix"
 
     def test_bias_becomes_row(self):
-        v = canonicalize(np.zeros(7), kind="bias", name="b")
+        v = canonicalize(np.zeros(7), name="b")
         assert (v.rows, v.cols) == (1, 7)
 
     def test_conv_kernel_flattens_trailing(self):
