@@ -201,8 +201,9 @@ def verify_lemma1_bound(
         budget = float(np.prod([mars_norm(params_f[n]) for n in _weight_names(spec)]))
 
     x, x_prime, denom = _sampled_pairs(sampler, n_pairs)
-    hf = forward(spec, params_f, x) - forward(spec, params_f, x_prime)
-    h0 = forward(spec, params_0, x) - forward(spec, params_0, x_prime)
+    work: dict = {}  # one set of activation buffers for the four passes
+    hf = forward(spec, params_f, x, work=work) - forward(spec, params_f, x_prime, work=work)
+    h0 = forward(spec, params_0, x, work=work) - forward(spec, params_0, x_prime, work=work)
     ratios = np.abs(hf).max(axis=1) / denom
     diff_ratios = np.abs(hf - h0).max(axis=1) / denom
     max_ratio = float(ratios.max(initial=0.0))

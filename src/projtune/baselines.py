@@ -71,10 +71,15 @@ class Sgd:
         g = grad + self.weight_decay * value if self.weight_decay else grad
         if self.momentum:
             buf = self.velocity.get(name)
-            buf = g.astype(np.float64, copy=True) if buf is None else self.momentum * buf + g
-            self.velocity[name] = buf
+            if buf is None:
+                buf = self.velocity[name] = g.astype(np.float64, copy=True)
+            else:
+                buf *= self.momentum
+                buf += g
             g = g + self.momentum * buf if self.nesterov else buf
-        return value - self.lr * g
+        # value - lr * g, computed into one fresh array
+        out = np.multiply(g, self.lr)
+        return np.subtract(value, out, out=out)
 
     def get_state(self) -> dict:
         return {"kind": "sgd",
@@ -112,16 +117,22 @@ class AdamW:
         w = value * (1.0 - self.lr * self.weight_decay) if self.weight_decay else value
         t = self.t.get(name, 0) + 1
         self.t[name] = t
+        # the moments advance in place, in the operation order of
+        # beta1 * m + (1 - beta1) * grad and beta2 * v + (1 - beta2) * grad * grad
         m = self.m.get(name)
+        if m is None:
+            m = self.m[name] = (1.0 - self.beta1) * grad
+        else:
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
         v = self.v.get(name)
-        m = (1.0 - self.beta1) * grad if m is None else self.beta1 * m + (1.0 - self.beta1) * grad
-        v = (
-            (1.0 - self.beta2) * grad * grad
-            if v is None
-            else self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        )
-        self.m[name] = m
-        self.v[name] = v
+        scaled = np.multiply(grad, 1.0 - self.beta2)
+        scaled *= grad
+        if v is None:
+            self.v[name] = v = scaled
+        else:
+            v *= self.beta2
+            v += scaled
         m_hat = m / (1.0 - self.beta1 ** t)
         v_hat = v / (1.0 - self.beta2 ** t)
         return w - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

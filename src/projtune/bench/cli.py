@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..audit import mixed_pair_sampler, verify_lemma1_bound
-from ..errors import ConfigError, PersistenceError, RunError
+from ..errors import ConfigError, DomainError, PersistenceError, RunError
 from ..numerics import SeededRng
 from .checkpoint import load_checkpoint
 from .config import load_config
@@ -67,6 +67,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     ckpt = load_checkpoint(args.checkpoint)
     if not ckpt.anchors:
         raise RunError(f"checkpoint {args.checkpoint} carries no anchors to audit against")
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PersistenceError, RunError) as exc:
+    except (ConfigError, DomainError, PersistenceError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -95,8 +95,11 @@ def draw_batch(rng: SeededRng, split: Split, batch_size: int) -> Batch:
     return Batch(split.inputs[idx], split.labels[idx])
 
 
-def accuracy(spec: MlpSpec, params: dict[str, np.ndarray], split: Split) -> float:
-    logits = forward(spec, params, split.inputs)
+def accuracy(
+    spec: MlpSpec, params: dict[str, np.ndarray], split: Split, *, work: dict | None = None
+) -> float:
+    """Top-1 accuracy on ``split``; ``work`` is passed to ``forward``."""
+    logits = forward(spec, params, split.inputs, work=work)
     return float((logits.argmax(axis=1) == split.labels).mean())
 
 
@@ -110,12 +113,13 @@ def evaluate(spec: MlpSpec, params: dict[str, np.ndarray], dataset: ShiftDataset
         raise DomainError(
             f"model output width {spec.widths[-1]} != class count {dataset.spec.n_classes}"
         )
-    table = {"id": accuracy(spec, params, dataset.test)}
+    work: dict = {}  # one set of activation buffers for every split
+    table = {"id": accuracy(spec, params, dataset.test, work=work)}
     kind_means = []
     for kind in SHIFT_KINDS:
         accs = []
         for severity in range(1, N_SEVERITIES + 1):
-            acc = accuracy(spec, params, dataset.ood_split(kind, severity))
+            acc = accuracy(spec, params, dataset.ood_split(kind, severity), work=work)
             table[f"ood.{kind}.{severity}"] = acc
             accs.append(acc)
         kind_means.append(sum(accs) / len(accs))

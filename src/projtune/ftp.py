@@ -125,9 +125,13 @@ def state_tensors(state: dict, kind: str) -> dict[str, np.ndarray]:
 
 
 def tensor_group(tensors: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
-    """The ``prefix/name`` entries of ``tensors``, keyed by name."""
+    """Copies of the ``prefix/name`` entries of ``tensors``, keyed by name.
+
+    Optimizers update their buffers in place, so a restored state never
+    shares memory with the ``tensors`` it came from.
+    """
     start = len(prefix) + 1
-    return {key[start:]: np.asarray(arr, dtype=np.float64)
+    return {key[start:]: np.array(arr, dtype=np.float64, copy=True)
             for key, arr in tensors.items() if key.startswith(prefix + "/")}
 
 

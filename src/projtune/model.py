@@ -39,16 +39,16 @@ class Batch(NamedTuple):
     targets: np.ndarray
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
 def _drelu(z):
     return (z > 0).astype(np.float64)
 
 
-def _tanh(z):
-    return np.tanh(z)
+def _tanh(z, out=None):
+    return np.tanh(z, out=out)
 
 
 def _dtanh(z):
@@ -56,15 +56,19 @@ def _dtanh(z):
     return 1.0 - t * t
 
 
-def _identity(z):
-    return z
+def _identity(z, out=None):
+    if out is None or out is z:
+        return z
+    np.copyto(out, z)
+    return out
 
 
 def _didentity(z):
     return np.ones_like(z)
 
 
-# name -> (activation, derivative w.r.t. pre-activation)
+# name -> (activation, derivative w.r.t. pre-activation); an activation
+# writes into ``out=`` when given, which may be its own input
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _drelu),
     "tanh": (_tanh, _dtanh),
@@ -155,8 +159,8 @@ def _check_params(spec: MlpSpec, params: NamedParams) -> None:
             )
 
 
-def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _check_inputs(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as a float64 (batch, features) matrix that fits ``spec`` and ``params``."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise DomainError(f"inputs must be a (batch, features) matrix, got rank {x.ndim}")
@@ -165,6 +169,12 @@ def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray):
             f"input width {x.shape[1]} does not match first layer width {spec.widths[0]}"
         )
     _check_params(spec, params)
+    return x
+
+
+def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray):
+    """Forward pass keeping pre-activations and activations for backprop."""
+    x = _check_inputs(spec, params, inputs)
     acts = [x]
     pre = []
     h = x
@@ -182,10 +192,34 @@ def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray):
     return pre, acts
 
 
-def forward(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.ndarray:
-    """Batch outputs (logits or regression values), shape (batch, out_width)."""
-    _, acts = _forward_trace(spec, params, inputs)
-    return acts[-1]
+def forward(
+    spec: MlpSpec, params: NamedParams, inputs: np.ndarray, *, work: dict | None = None
+) -> np.ndarray:
+    """Batch outputs (logits or regression values), shape (batch, out_width).
+
+    Hidden layers are computed in place in two alternating buffers per row
+    count and width, held in ``work``; a caller that passes the same dict to
+    several passes allocates them once. Only the returned output is a fresh
+    array, so no result aliases a buffer. The operations and their order are
+    those of ``_forward_trace``, so the output is bitwise equal to its last
+    activation.
+    """
+    x = _check_inputs(spec, params, inputs)
+    if work is None:
+        work = {}
+    h = x
+    last = spec.n_layers - 1
+    for i in range(last):
+        w = params[f"layer{i}.weight"]
+        key = (x.shape[0], w.shape[0], i % 2)
+        buf = work.get(key)
+        if buf is None:
+            buf = work[key] = np.empty((x.shape[0], w.shape[0]), dtype=np.float64)
+        np.matmul(h, w.T, out=buf)
+        buf += params[f"layer{i}.bias"]
+        act, _ = _activation_fns(spec, i)
+        h = act(buf, out=buf)
+    return h @ params[f"layer{last}.weight"].T + params[f"layer{last}.bias"]
 
 
 def _check_targets(spec: MlpSpec, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -151,6 +151,24 @@ def test_optimizer_state_round_trips_and_rejects_another_kind(build):
                 fresh.set_state({**state, "kind": other})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Sgd(lr=0.1, momentum=0.9),
+    lambda: Sgd(lr=0.1, momentum=0.9, nesterov=True, weight_decay=0.01),
+    lambda: AdamW(lr=0.1, weight_decay=0.01),
+], ids=["sgd-momentum", "sgd-nesterov", "adamw"])
+def test_stepping_after_set_state_leaves_the_state_unchanged(build):
+    source = build()
+    source.step("w", np.ones((3, 2)), np.full((3, 2), 0.5))
+    state = source.get_state()
+    kept = {key: arr.copy() for key, arr in state["tensors"].items()}
+    opt = build()
+    opt.set_state(state)
+    for _ in range(2):
+        opt.step("w", np.ones((3, 2)), np.full((3, 2), -0.25))
+    for key, arr in state["tensors"].items():
+        assert arr.tobytes() == kept[key].tobytes(), key
+
+
 def toy_problem(seed=0, widths=(3, 4, 2)):
     spec = MlpSpec(widths=widths, activations=("tanh",) * (len(widths) - 2), loss="softmax_ce")
     rng = SeededRng(seed)

@@ -98,6 +98,20 @@ class TestEvaluateAudit:
         assert len(report["layers"]) == 3  # two hidden layers + head
         assert "bound_satisfied=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_audit_pairs_below_one_is_clean_error(self, finished_run, pairs, capsys):
+        capsys.readouterr()
+        assert run_cli("audit", "--checkpoint", finished_run / "state.ckpt",
+                       "--pairs", pairs) == 2
+        assert capsys.readouterr().err.startswith("error: --pairs must be at least 1")
+
+    def test_evaluate_class_count_mismatch_is_clean_error(self, conf_file, finished_run,
+                                                          capsys):
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", conf_file, "--set", "dataset.n_classes=5",
+                       "--checkpoint", finished_run / "state.ckpt") == 2
+        assert capsys.readouterr().err.startswith("error: model output width 4")
+
     def test_audit_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         assert run_cli("audit", "--checkpoint", tmp_path / "missing.ckpt") == 2
         assert "does not exist" in capsys.readouterr().err

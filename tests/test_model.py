@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from projtune.errors import ConfigError, DomainError
 from projtune.model import (
     Batch,
     MlpSpec,
+    _forward_trace,
     backward,
     evaluate_loss,
     finite_diff_grad,
@@ -100,6 +102,51 @@ class TestForward:
         params = init_params(spec, SeededRng(0))
         with pytest.raises(DomainError):
             forward(spec, params, np.zeros((4, 5)))
+
+
+class TestStreamingForward:
+    @staticmethod
+    def net(widths, activation, seed=3):
+        spec = MlpSpec(widths=widths, activations=(activation,) * (len(widths) - 2),
+                       loss="mse")
+        rng = SeededRng(seed)
+        params = init_params(spec, rng.derive(0))
+        for i in range(spec.n_layers):
+            params[f"layer{i}.bias"] = rng.derive(1 + i).normal((widths[i + 1],))
+        return spec, params
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+    @pytest.mark.parametrize("widths", [(6, 3), (6, 9, 3), (6, 16, 8, 3), (6, 512, 512, 4)])
+    def test_bitwise_equal_to_trace(self, activation, widths):
+        spec, params = self.net(widths, activation)
+        work: dict = {}
+        for rows in (1, 5, 64, 257):
+            x = SeededRng(rows).normal((rows, widths[0]))
+            for inputs in (x, np.asfortranarray(x)):
+                want = _forward_trace(spec, params, inputs)[1][-1]
+                for got in (forward(spec, params, inputs),
+                            forward(spec, params, inputs, work=work)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_results_sharing_work_are_independent(self):
+        spec, params = self.net((6, 16, 16, 3), "tanh")
+        work: dict = {}
+        first = forward(spec, params, SeededRng(1).normal((20, 6)), work=work)
+        kept = first.copy()
+        second = forward(spec, params, SeededRng(2).normal((20, 6)), work=work)
+        assert first.tobytes() == kept.tobytes()
+        for buf in [second, *work.values()]:
+            assert not np.shares_memory(first, buf)
+
+    def test_work_holds_at_most_two_buffers_per_rows_and_width(self):
+        spec, params = self.net((6, 16, 16, 16, 32, 16, 3), "relu")
+        work: dict = {}
+        for rows in (10, 10, 20, 10):
+            forward(spec, params, np.ones((rows, 6)), work=work)
+        assert Counter(buf.shape for buf in work.values()) == {
+            (10, 16): 2, (10, 32): 1, (20, 16): 2, (20, 32): 1,
+        }
 
 
 class TestBackward:
