@@ -57,10 +57,7 @@ def _dtanh(z):
 
 
 def _identity(z, out=None):
-    if out is None or out is z:
-        return z
-    np.copyto(out, z)
-    return out
+    return z
 
 
 def _didentity(z):
@@ -68,7 +65,7 @@ def _didentity(z):
 
 
 # name -> (activation, derivative w.r.t. pre-activation); an activation
-# writes into ``out=`` when given, which may be its own input
+# given ``out=`` writes in place: ``out`` is always its input ``z``
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _drelu),
     "tanh": (_tanh, _dtanh),

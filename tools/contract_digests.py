@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python3 tools/contract_digests.py [--only NAME[,NAME...]]
+    python3 tools/contract_digests.py
 
 Each configuration fine-tunes the default 8-16-16-4 model with a checkpoint
 every 5 iterations, then resumes a second run from the middle one of those
@@ -140,15 +140,8 @@ def digest_lines(configurations: dict[str, dict[str, str]],
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", default=None,
-                        help="comma-separated configuration names (default: all)")
-    args = parser.parse_args(argv)
-    names = list(CONFIGURATIONS) if args.only is None else args.only.split(",")
-    unknown = [n for n in names if n not in CONFIGURATIONS]
-    if unknown:
-        parser.error(f"unknown configurations {unknown}; choose from {list(CONFIGURATIONS)}")
-    for line in digest_lines({n: CONFIGURATIONS[n] for n in names}):
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    for line in digest_lines(CONFIGURATIONS):
         print(line, flush=True)
     return 0
 
