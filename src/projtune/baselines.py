@@ -133,9 +133,15 @@ class AdamW:
         else:
             v *= self.beta2
             v += scaled
-        m_hat = m / (1.0 - self.beta1 ** t)
-        v_hat = v / (1.0 - self.beta2 ** t)
-        return w - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # w - lr * m_hat / (sqrt(v_hat) + eps): the same operations on each
+        # element, in two buffers instead of five temporaries
+        den = np.divide(v, 1.0 - self.beta2 ** t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        out = np.divide(m, 1.0 - self.beta1 ** t)
+        out *= self.lr
+        out /= den
+        return np.subtract(w, out, out=out)
 
     def get_state(self) -> dict:
         tensors = {f"m/{k}": a.copy() for k, a in self.m.items()}

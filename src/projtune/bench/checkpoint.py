@@ -8,12 +8,18 @@ save/load round trip bit-identical and lets a resumed run continue exactly
 where an uninterrupted one would be. A checkpoint is written to a sibling
 temporary file and renamed over its path, so an interrupted write leaves the
 previous file as it was.
+
+A file is read once, into one payload buffer: the arrays of a loaded
+checkpoint are writable, disjoint views into it, so holding any one of them
+keeps the whole payload alive. Copy an array that outlives the checkpoint
+(``make_managed`` and ``set_state`` do).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import zlib
@@ -75,10 +81,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     offset = 0
     for key in sorted(arrays):
         arr = np.ascontiguousarray(arrays[key], dtype="<f8")
-        raw = arr.tobytes()
         directory.append({"key": key, "shape": list(arr.shape), "offset": offset})
-        blob_parts.append(raw)
-        offset += len(raw)
+        blob_parts.append(arr)
+        offset += arr.nbytes
+    # one copy of the payload; one write per array costs more than the copy
+    # saves on checkpoints of many small arrays
     blob = b"".join(blob_parts)
 
     header_obj = {
@@ -111,28 +118,70 @@ def _split_key(key: str) -> tuple[str, str]:
     return group, name
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _array_spans(directory, blob_len: int, groups) -> list[tuple[str, str, int, int, tuple]]:
+    """``(group, name, start, end, shape)`` per directory entry, each checked.
+
+    The arrays become views into one buffer, so an entry must lie inside
+    the payload, start on an 8-byte boundary and share no byte with another.
+    """
+    spans = []
+    seen = set()
+    for entry in directory:
+        if not (isinstance(entry, dict) and entry.keys() >= {"key", "shape", "offset"}
+                and isinstance(entry["key"], str)):
+            raise PersistenceError(f"malformed checkpoint array entry {entry!r}")
+        key, shape, start = entry["key"], entry["shape"], entry["offset"]
+        if key in seen:
+            raise PersistenceError(f"checkpoint array {key!r} listed twice")
+        seen.add(key)
+        group, name = _split_key(key)
+        if group not in groups:
+            raise PersistenceError(f"unknown array group {group!r}")
+        if not _is_index(start) or start % 8:
+            raise PersistenceError(f"checkpoint array {key!r} has bad offset {start!r}")
+        if not isinstance(shape, list) or not all(_is_index(d) for d in shape):
+            raise PersistenceError(f"checkpoint array {key!r} has bad shape {shape!r}")
+        end = start + 8 * math.prod(shape)
+        if end > blob_len:
+            raise PersistenceError("checkpoint array directory exceeds payload")
+        spans.append((group, name, start, end, tuple(shape)))
+    last_end = 0
+    for group, name, start, end, _ in sorted(spans, key=lambda s: (s[2], s[3])):
+        if start < last_end:
+            raise PersistenceError(f"checkpoint array '{group}/{name}' overlaps another")
+        last_end = end
+    return spans
+
+
 def load_checkpoint(path) -> Checkpoint:
     try:
-        with open(path, "rb") as f:
-            data = f.read()
+        f = open(path, "rb")
     except FileNotFoundError:
         raise PersistenceError(f"checkpoint {path} does not exist") from None
-    if len(data) < _HEADER_SIZE:
-        raise PersistenceError("checkpoint truncated: missing fixed header")
-    magic, version, header_len, blob_len, crc = struct.unpack(
-        _HEADER_FMT, data[:_HEADER_SIZE]
-    )
-    if magic != MAGIC:
-        raise PersistenceError(f"not a checkpoint file (magic {magic!r})")
-    if version != VERSION:
-        raise PersistenceError(f"checkpoint version {version} unsupported (want {VERSION})")
-    body = data[_HEADER_SIZE:]
-    if len(body) != header_len + blob_len:
-        raise PersistenceError(
-            f"checkpoint truncated: expected {header_len + blob_len} body bytes, got {len(body)}"
-        )
-    header, blob = body[:header_len], body[header_len:]
-    if (zlib.crc32(header + blob) & 0xFFFFFFFF) != crc:
+    with f:
+        fixed = f.read(_HEADER_SIZE)
+        if len(fixed) < _HEADER_SIZE:
+            raise PersistenceError("checkpoint truncated: missing fixed header")
+        magic, version, header_len, blob_len, crc = struct.unpack(_HEADER_FMT, fixed)
+        if magic != MAGIC:
+            raise PersistenceError(f"not a checkpoint file (magic {magic!r})")
+        if version != VERSION:
+            raise PersistenceError(f"checkpoint version {version} unsupported (want {VERSION})")
+        body_len = os.fstat(f.fileno()).st_size - _HEADER_SIZE
+        if body_len != header_len + blob_len:
+            raise PersistenceError(
+                f"checkpoint size mismatch: expected {header_len + blob_len} body bytes, "
+                f"got {body_len}"
+            )
+        header = f.read(header_len)
+        blob = np.empty(blob_len, dtype=np.uint8)
+        if len(header) != header_len or f.readinto(blob) != blob_len:
+            raise PersistenceError("checkpoint changed size while it was read")
+    if zlib.crc32(blob, zlib.crc32(header)) != crc:
         raise PersistenceError("checkpoint checksum mismatch")
 
     obj = json.loads(header.decode("utf-8"))
@@ -151,25 +200,9 @@ def load_checkpoint(path) -> Checkpoint:
     )
     if obj["spec_hash"] != ckpt.spec_hash:
         raise PersistenceError("model spec hash mismatch")
-    opt_tensors: dict[str, np.ndarray] = {}
-    for entry in obj["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
-        if end > len(blob):
-            raise PersistenceError("checkpoint array directory exceeds payload")
-        arr = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
-        group, name = _split_key(entry["key"])
-        if group == "values":
-            ckpt.values[name] = arr
-        elif group == "anchors":
-            ckpt.anchors[name] = arr
-        elif group == "prev":
-            ckpt.prev_unconstrained[name] = arr
-        elif group == "opt":
-            opt_tensors[name] = arr
-        else:
-            raise PersistenceError(f"unknown array group {group!r}")
-    ckpt.optimizer["tensors"] = opt_tensors
+    groups = {"values": ckpt.values, "anchors": ckpt.anchors,
+              "prev": ckpt.prev_unconstrained, "opt": {}}
+    for group, name, start, end, shape in _array_spans(obj["arrays"], blob_len, groups):
+        groups[group][name] = blob[start:end].view("<f8").reshape(shape)
+    ckpt.optimizer["tensors"] = groups["opt"]
     return ckpt

@@ -241,13 +241,14 @@ def _run_checkpoint(
     config: ExperimentConfig, spec: MlpSpec, params, optimizer, iteration: int,
     counting: CountingModel,
 ) -> Checkpoint:
+    """The run's state at ``iteration``; it holds the live tensors, so save it at once."""
     return Checkpoint(
         model_spec=spec,
         iteration=iteration,
-        values={name: p.value.copy() for name, p in params.items()},
-        anchors={name: p.anchor.copy() for name, p in params.items()},
+        values={name: p.value for name, p in params.items()},
+        anchors={name: p.anchor for name, p in params.items()},
         prev_unconstrained={
-            name: p.prev_unconstrained.copy()
+            name: p.prev_unconstrained
             for name, p in params.items()
             if p.prev_unconstrained is not None
         },

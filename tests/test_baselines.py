@@ -92,6 +92,25 @@ class TestAdamW:
         with pytest.raises(DomainError):
             AdamW(lr=0.01).step("w", np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_steps_match_the_textbook_formula_bitwise(self, weight_decay):
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = AdamW(lr=lr, betas=(b1, b2), eps=eps, weight_decay=weight_decay)
+        rng = SeededRng(7)
+        w = w_ref = rng.derive(0).normal((8, 5))
+        m = v = np.zeros_like(w)
+        for t in range(1, 6):
+            g = rng.derive(t).normal((8, 5))
+            w = opt.step("w", w, g)
+            if weight_decay:
+                w_ref = w_ref * (1 - lr * weight_decay)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            w_ref = w_ref - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert w.tobytes() == w_ref.tobytes(), t
+
     def test_factory(self):
         assert isinstance(make_base_optimizer("sgd", 0.1), Sgd)
         assert isinstance(make_base_optimizer("adamw", 0.1), AdamW)

@@ -1,7 +1,16 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
-from projtune.bench.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from projtune.bench.checkpoint import (
+    Checkpoint,
+    _collect_arrays,
+    load_checkpoint,
+    save_checkpoint,
+)
 from projtune.errors import PersistenceError
 from projtune.model import MlpSpec, init_params
 from projtune.numerics import SeededRng
@@ -131,3 +140,86 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError, match="version"):
             load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(PersistenceError):
+            load_checkpoint(path)
+
+
+def rewrite_directory(path, edit):
+    """Apply ``edit`` to the array directory of ``path``, keeping the CRC valid."""
+    data = path.read_bytes()
+    magic, version, header_len, blob_len, _ = struct.unpack("<4sIQQI", data[:28])
+    header = json.loads(data[28:28 + header_len])
+    blob = data[28 + header_len:]
+    edit(header["arrays"])
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    crc = zlib.crc32(blob, zlib.crc32(raw))
+    path.write_bytes(struct.pack("<4sIQQI", magic, version, len(raw), blob_len, crc) + raw + blob)
+
+
+def _entry(arrays, key="values/layer0.weight"):
+    return next(e for e in arrays if e["key"] == key)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda a: _entry(a).update(offset=0.5),
+    lambda a: _entry(a).update(offset=-8),
+    lambda a: _entry(a).update(offset=_entry(a)["offset"] + 4),
+    lambda a: _entry(a).update(shape=[-1, 4]),
+    lambda a: _entry(a).update(shape=[6.0, 4]),
+    lambda a: _entry(a).update(offset=1 << 20),
+    lambda a: _entry(a).update(offset=_entry(a, "values/layer0.bias")["offset"]),
+    lambda a: a.append(dict(_entry(a))),
+    lambda a: _entry(a).update(key="grads/layer0.weight"),
+    lambda a: _entry(a).pop("offset"),
+    lambda a: _entry(a).update(key=["values", "layer0.weight"]),
+    lambda a: a.append(7),
+], ids=["fractional-offset", "negative-offset", "unaligned-offset", "negative-dim",
+        "float-dim", "past-payload", "overlap", "duplicate-key", "unknown-group",
+        "missing-offset", "non-string-key", "non-object-entry"])
+def test_bad_array_directory_is_a_persistence_error(tmp_path, edit):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(sample_checkpoint(), path)
+    rewrite_directory(path, edit)
+    with pytest.raises(PersistenceError):
+        load_checkpoint(path)
+
+
+class TestLoadedArrays:
+    def test_writable_aligned_disjoint_float64_and_bitwise_equal(self, tmp_path):
+        ckpt = sample_checkpoint()
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(ckpt, path)
+        saved, loaded = _collect_arrays(ckpt), _collect_arrays(load_checkpoint(path))
+        assert set(saved) == set(loaded)
+        for key, arr in loaded.items():
+            assert arr.dtype == np.float64
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+            assert arr.shape == saved[key].shape
+            assert arr.tobytes() == saved[key].tobytes()
+        keys = sorted(loaded)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                assert not np.shares_memory(loaded[a], loaded[b]), (a, b)
+
+    def test_resaving_a_loaded_checkpoint_gives_the_same_bytes(self, tmp_path):
+        save_checkpoint(sample_checkpoint(), tmp_path / "a.ckpt")
+        save_checkpoint(load_checkpoint(tmp_path / "a.ckpt"), tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[::-1].copy()[::-1],
+                                        lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
+                             ids=["fortran", "reversed", "strided"])
+    def test_non_contiguous_input_saves_like_its_contiguous_copy(self, tmp_path, layout):
+        ckpt = sample_checkpoint()
+        save_checkpoint(ckpt, tmp_path / "a.ckpt")
+        weight = ckpt.values["layer0.weight"]
+        ckpt.values["layer0.weight"] = layout(weight)
+        assert not ckpt.values["layer0.weight"].flags.c_contiguous
+        np.testing.assert_array_equal(ckpt.values["layer0.weight"], weight)
+        save_checkpoint(ckpt, tmp_path / "b.ckpt")
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
