@@ -19,14 +19,15 @@ from .ftp import (
     ManagedParam,
     ProjectedOptimizer,
     adam_update_gamma,
-    hyper_gradient,
     state_tensors,
     tensor_group,
 )
 from .model import Batch
 
-# The projection runs in ProjectedOptimizer (projtune.ftp); this name is
-# kept so that tracing tools which wrap it here still find it.
+# The projection and the hyper-gradient run in ProjectedOptimizer
+# (projtune.ftp); these names are kept so that tracing tools which wrap
+# them here still find them.
+from .ftp import hyper_gradient  # noqa: F401
 from .projection import project_rows  # noqa: F401
 
 __all__ = [
@@ -178,6 +179,7 @@ class BaseOnlyOptimizer(ProjectedOptimizer):
         super().__init__(params, base, exclude_set=params)
 
     def step(self) -> None:
+        self._gather()
         self._store(self._base_step())
 
 
@@ -214,6 +216,7 @@ class MarsSpOptimizer(ProjectedOptimizer):
         return self.fixed_gammas[name]
 
     def step(self) -> None:
+        self._gather()
         self._store(self._base_step())
 
 
@@ -257,18 +260,22 @@ class TpgmOptimizer(ProjectedOptimizer):
             raise ConfigError(
                 f"need {self.inner_iters} validation batches, got {len(val_batches)}"
             )
-        w_tilde = self._base_step()
+        self._gather()
+        updates = self._base_step()
         for batch in val_batches[:self.inner_iters]:
-            probe = {name: self._project(name) if name in self.views else wt
-                     for name, wt in w_tilde.items()}
+            probe = {}
+            for b, w_tilde in zip(self._blocks, updates):
+                probe.update(b.views_of(
+                    self._project(b, w_tilde, out=b.scratch) if b.projected else w_tilde))
             _, val_grads = self.grad_fn(probe, batch)
+            raw = {}
+            for b in self._projected:
+                # the probe in scratch is spent: the gradient takes its place
+                grad = b.fill(b.scratch, val_grads)
+                raw.update(self._hyper_gradients(b, grad, b.slices))
             for name, gs in self.gammas.items():
-                disp = self.displacements[name]
-                adam_update_gamma(gs, hyper_gradient(
-                    disp.view.to_2d(val_grads[name]), disp.w_tilde, disp.w_anchor, gs.gamma,
-                    delta=disp.delta, dist=disp.dist,
-                ))
-        self._store(w_tilde)
+                adam_update_gamma(gs, raw[name])
+        self._store(updates)
 
 
 def l2_sp_grad(param: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:

@@ -32,7 +32,11 @@ from ..errors import DomainError, RunError, StateError
 from ..ftp import FtpOptimizer, GammaState, make_managed
 from ..hyperlr import HyperSgd
 from ..model import Batch, MlpSpec, backward, forward, init_params
-from ..numerics import SeededRng, mars_norm
+from ..numerics import SeededRng
+
+# The constraint check runs in the optimizer; this name is kept so that
+# tracing tools which wrap it here still find it.
+from ..numerics import mars_norm  # noqa: F401
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint, spec_hash
 from .config import ExperimentConfig
 from .data import (
@@ -82,10 +86,10 @@ class CountingModel:
         self.fwd_count = 0
         self.bwd_count = 0
 
-    def loss_and_grads(self, values: dict[str, np.ndarray], batch: Batch):
+    def loss_and_grads(self, values: dict[str, np.ndarray], batch: Batch, out=None):
         self.fwd_count += 1
         self.bwd_count += 1
-        return backward(self.spec, values, batch)
+        return backward(self.spec, values, batch, out=out)
 
 
 def draw_batch(rng: SeededRng, split: Split, batch_size: int) -> Batch:
@@ -208,35 +212,6 @@ def _build_optimizer(config: ExperimentConfig, params, counting: CountingModel):
     raise RunError(f"no optimizer wired for method {method!r}")
 
 
-def _constraint_excess(optimizer, params) -> Optional[float]:
-    """Worst (distance - radius) over projected tensors; None if nothing projects.
-
-    A row the last projection left as it was sits at the distance that
-    projection measured; rows it rescaled, and tensors whose state has been
-    replaced since, are measured from the stored weights.
-    """
-    if not optimizer.views:
-        return None
-    gammas = optimizer.gamma_values()
-    worst = -math.inf
-    for name, view in optimizer.views.items():
-        p = params[name]
-        disp = optimizer.displacements.get(name)
-        if (disp is None or disp.value is not p.value
-                or not disp.measures(p.prev_unconstrained, p.anchor)):
-            d = mars_norm(view.to_2d(p.value) - view.to_2d(p.anchor))
-        else:
-            moved = disp.rescaled_rows()
-            if moved.all():  # nothing to reuse, and gathering every row costs more
-                d = mars_norm(disp.value_2d - disp.w_anchor)
-            else:
-                d = float(np.max(disp.dist, where=~moved, initial=-math.inf))
-                if moved.any():
-                    d = max(d, mars_norm(disp.value_2d[moved] - disp.w_anchor[moved]))
-        worst = max(worst, d - gammas[name])
-    return worst
-
-
 def _run_checkpoint(
     config: ExperimentConfig, spec: MlpSpec, params, optimizer, iteration: int,
     counting: CountingModel,
@@ -347,7 +322,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         tic = time.perf_counter()
         batch = draw_batch(root.derive(_TAG_BATCH, t), ft_train, config.batch_size)
         values = {name: p.value for name, p in params.items()}
-        loss, grads = counting.loss_and_grads(values, batch)
+        loss, grads = counting.loss_and_grads(values, batch, out=optimizer.grad_views)
         if not math.isfinite(loss):
             # the diagnostic row reports the state before this step, which never runs
             record.add_row(t, loss, time.perf_counter() - tic, counting.fwd_count,
@@ -360,7 +335,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         for name, p in params.items():
             g = grads[name]
             if config.method == "l2-sp":
-                g = g + l2_sp_grad(p.value, p.anchor, config.l2_sp_lambda)
+                g += l2_sp_grad(p.value, p.anchor, config.l2_sp_lambda)
             p.grad = g
         probe_phase = config.method == "linear-probe" or (
             config.method == "lp-ft" and t <= lpft_boundary
@@ -379,7 +354,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         secs = time.perf_counter() - tic
         record.add_row(t, loss, secs, counting.fwd_count, counting.bwd_count,
                        optimizer.gamma_values())
-        excess = _constraint_excess(optimizer, params)
+        excess = optimizer.constraint_excess()
         if excess is not None:
             max_excess = max(max_excess, excess)
         if config.checkpoint_every and t % config.checkpoint_every == 0:

@@ -8,9 +8,11 @@ positive constraint gradients by kappa, (3) apply one Adam step to gamma, and
 MARS ball around the frozen anchor weights. Tensors in the exclude set only
 receive the base optimizer step, bit-identically to running it standalone.
 
-The base stepping, the measurement of each update and the projection live in
-:class:`ProjectedOptimizer`, which every projecting method (and base-only
-fine-tuning) extends with its own choice of radii.
+The base stepping, the measurement of each update, the projection and the
+constraint check live in :class:`ProjectedOptimizer`, which every projecting
+method (and base-only fine-tuning) extends with its own choice of radii. It
+keeps the tensors in one block per row width, so each of these runs once per
+block rather than once per tensor.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ import numpy as np
 from .errors import ConfigError, DomainError, StateError
 from .projection import (
     EPS_DIV,
-    Displacement,
     ProjectionView,
     canonicalize,
     project_rows,
     resolve_displacement,
+    row_displacement,
 )
 
 __all__ = [
@@ -59,6 +61,11 @@ class ManagedParam:
     which projection pulls, ``prev_unconstrained`` the cached pre-projection
     update from the previous step (absent until a step has run), and ``grad``
     the loss gradient for the upcoming step.
+
+    Once a :class:`ProjectedOptimizer` has stepped it, each field is a view
+    into the optimizer's blocks, which a later step may overwrite: copy what
+    must outlive the step. A field set to a new array is copied in at the
+    next step.
     """
 
     name: str
@@ -196,12 +203,31 @@ def hyper_gradient(
             f"hyper_gradient expects matching 2-D shapes, got {g.shape}/{wt.shape}/{w0.shape}"
         )
     delta, dist = resolve_displacement(wt, w0, delta, dist)
+    [out] = _segment_hyper_gradients((g * delta).sum(axis=1), dist, gamma,
+                                     [slice(0, len(dist))], eps_div)
+    return out
+
+
+def _segment_hyper_gradients(num: np.ndarray, dist: np.ndarray, gamma, segments,
+                             eps_div: float = EPS_DIV) -> list[float]:
+    """:func:`hyper_gradient` of each run of rows in ``segments``.
+
+    ``num`` holds each row's ``grad . delta`` (it is overwritten) and
+    ``dist`` its distance; ``gamma`` is one radius or one per row. Each
+    segment sums over its own gathered active rows: a masked or zero-padded
+    sum would add in another order and give other bits.
+    """
     active = (dist > gamma) & (dist >= eps_div)
-    if not np.any(active):
-        return 0.0
-    # whole-matrix row sums, then select: the same per-row bits as summing the selected rows
-    num = (g * delta).sum(axis=1)[active]
-    return float((num / dist[active]).sum())
+    ratio = np.divide(num, dist, out=num, where=active)
+    flags, values = active.tolist(), ratio.tolist()
+    out = []
+    for rows in segments:
+        if rows.stop - rows.start == 1:
+            out.append(values[rows.start] if flags[rows.start] else 0.0)
+        else:
+            kept = ratio[rows][active[rows]]
+            out.append(float(kept.sum()) if kept.size else 0.0)
+    return out
 
 
 def anneal_gradient(grad: float, kappa: float) -> float:
@@ -247,19 +273,112 @@ def rebase_anchor(
         gs.reset(gamma_init)
 
 
+class _Block:
+    """Tensors that step as one array, each a run of its rows.
+
+    A projected block holds the canonical 2-D rows of every projected tensor
+    of one row width; the unprojected block holds every other tensor as a
+    column, one element per row. ``layout`` maps each member to its 2-D view
+    and ``slices`` to its rows. Each managed param's ``value``, ``grad`` and,
+    for projected tensors, ``anchor`` and ``prev_unconstrained`` are views
+    into the block's arrays of those names, kept in ``bound``; :meth:`adopt`
+    copies in an array set from outside. ``delta``, ``dist`` and ``measured`` cache the
+    :func:`~projtune.projection.row_displacement` of ``prev_unconstrained``
+    from ``anchor``; ``scratch`` holds temporaries that never leave a step,
+    and ``radius`` each row's projection radius.
+    """
+
+    __slots__ = ("key", "layout", "slices", "projected", "value", "grad", "anchor",
+                 "prev_unconstrained", "delta", "dist", "scratch", "radius", "measured", "bound")
+
+    def __init__(self, key: str, layout: list[ProjectionView], projected: bool):
+        self.key = key
+        self.layout = {view.name: view for view in layout}
+        self.slices: dict[str, slice] = {}
+        rows = 0
+        for view in layout:
+            self.slices[view.name] = slice(rows, rows + view.rows)
+            rows += view.rows
+        self.projected = projected
+        shape = (rows, layout[0].cols)
+        self.value = np.zeros(shape)
+        self.grad = np.zeros(shape)
+        self.bound = {"value": self.views_of(self.value), "grad": self.views_of(self.grad)}
+        self.measured = False
+        if projected:
+            self.anchor = np.zeros(shape)
+            self.prev_unconstrained = np.zeros(shape)
+            self.bound["anchor"] = self.views_of(self.anchor)
+            self.bound["prev_unconstrained"] = self.views_of(self.prev_unconstrained)
+            self.delta = np.empty(shape)
+            self.dist = None
+            self.scratch = np.empty(shape)
+            self.radius = np.empty(rows)
+
+    def views_of(self, arr: np.ndarray) -> dict[str, np.ndarray]:
+        """Each member's rows of the block-shaped ``arr``, in the member's shape."""
+        return {name: arr[rows].reshape(self.layout[name].source_shape)
+                for name, rows in self.slices.items()}
+
+    def fill(self, out: np.ndarray, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """Copy each member's array of ``arrays`` into its rows of ``out``; return ``out``."""
+        for name, rows in self.slices.items():
+            out[rows] = self.layout[name].to_2d(arrays[name])
+        return out
+
+    def bind(self, params: dict[str, ManagedParam], field: str, arr: np.ndarray) -> None:
+        """Make ``arr`` the block's ``field`` and each member's ``field`` a view into it."""
+        setattr(self, field, arr)
+        self.bound[field] = self.views_of(arr)
+        for name, view in self.bound[field].items():
+            setattr(params[name], field, view)
+
+    def adopt(self, params: dict[str, ManagedParam], field: str) -> bool:
+        """Copy in each member's ``field`` that is not a view of the block; True if one was."""
+        bound = self.bound[field]
+        changed = False
+        for name, rows in self.slices.items():
+            arr = getattr(params[name], field)
+            if arr is None or arr is bound[name]:
+                continue
+            getattr(self, field)[rows] = self.layout[name].to_2d(arr)
+            setattr(params[name], field, bound[name])
+            changed = True
+        return changed
+
+    def measure(self, w_tilde: np.ndarray) -> None:
+        """Put the displacement of ``w_tilde`` from the anchor in ``delta`` and ``dist``."""
+        self.dist = row_displacement(w_tilde, self.anchor, out=self.delta, scratch=self.scratch)[1]
+
+    def adopt_state(self, params: dict[str, ManagedParam]) -> None:
+        self.adopt(params, "value")
+        if self.projected and (self.adopt(params, "anchor")
+                               | self.adopt(params, "prev_unconstrained")):
+            self.measured = False
+
+
 class ProjectedOptimizer:
     """A base optimizer whose updates are projected onto per-tensor MARS balls.
 
-    ``base`` is any object with ``step(name, value, grad) -> new_value`` and
+    ``base`` is any object with ``step(key, value, grad) -> new_value`` and
     a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
     whose state is this optimizer's state. Every tensor that is projectable
     and not in ``exclude_set`` is projected around its anchor; the rest
     receive only the base step, bit-identically to running it standalone.
 
+    The tensors live in blocks (:class:`_Block`): one per row width of the
+    projected tensors, and one column for all the rest. The base step, the
+    measurement of each update, the hyper-gradient, the projection and the
+    constraint check run once per block. Every row-wise result is the same
+    bits as per tensor, and each tensor's scalar sums run over its own rows.
+    The base optimizer sees one key per block; :meth:`get_state` and
+    :meth:`set_state` speak per tensor.
+
     Subclasses differ only in how they choose each tensor's radius. Their
-    ``step`` base-steps every tensor (:meth:`_base_step`), sets the radii
-    (learned ones live in ``gammas``; :meth:`radius` reads them) and projects
-    the updates into place (:meth:`_store`).
+    ``step`` checks the gradients and adopts the params' arrays
+    (:meth:`_gather`), base-steps every block (:meth:`_base_step`), sets the
+    radii (learned ones live in ``gammas``; :meth:`radius` reads them) and
+    projects the updates into place (:meth:`_store`).
     """
 
     def __init__(self, params: dict[str, ManagedParam], base, exclude_set: Iterable[str] = ()):
@@ -275,10 +394,17 @@ class ProjectedOptimizer:
             if p.projectable and name not in exclude
         }
         self.gammas: dict[str, GammaState] = {}
-        # the latest update of each projected tensor, measured once: its
-        # projection, the next step's hyper-gradient and the run loop's
-        # constraint check all read it
-        self.displacements: dict[str, Displacement] = {}
+        groups: dict[str, list[ProjectionView]] = {}
+        for name, p in params.items():
+            view = self.views.get(name)
+            groups.setdefault("flat" if view is None else f"rows{view.cols}", []).append(
+                view or ProjectionView(name, p.value.shape, p.value.size, 1))
+        self._blocks = [_Block(key, layout, projected=key != "flat")
+                        for key, layout in groups.items()]
+        self._projected = [b for b in self._blocks if b.projected]
+        # backward(out=) writes the gradients straight into the blocks
+        self.grad_views = {name: view for b in self._blocks
+                           for name, view in b.bound["grad"].items()}
 
     def projected_names(self) -> list[str]:
         return list(self.views)
@@ -290,49 +416,134 @@ class ProjectedOptimizer:
         return {name: self.radius(name) for name in self.views}
 
     def get_state(self) -> dict:
-        return self.base.get_state()
+        """The base optimizer's state, one entry per tensor, as stepping each alone leaves it."""
+        by_key = {b.key: b for b in self._blocks}
+        state = {}
+        for entry, value in self.base.get_state().items():
+            if entry == "tensors":
+                tensors = {}
+                for key, arr in value.items():
+                    prefix, _, block = key.partition("/")
+                    for name, view in by_key[block].views_of(arr).items():
+                        tensors[f"{prefix}/{name}"] = view
+                value = tensors
+            elif isinstance(value, dict):  # a per-key count, such as AdamW's step counts
+                value = {name: n for block, n in value.items() for name in by_key[block].slices}
+            state[entry] = value
+        return state
 
     def set_state(self, state: dict) -> None:
-        self.base.set_state(state)
+        """Load a per-tensor state (:meth:`get_state`'s form) into the base optimizer.
+
+        Within a block, every tensor or none has an entry, and per-tensor
+        counts agree; anything else raises StateError.
+        """
+        blocked = {}
+        for entry, value in state.items():
+            if entry == "tensors":
+                groups: dict[str, dict] = {}
+                for key, arr in value.items():
+                    prefix, _, name = key.partition("/")
+                    groups.setdefault(prefix, {})[name] = arr
+                value = {f"{prefix}/{b.key}": b.fill(np.empty_like(b.value), arrays)
+                         for prefix, arrays in groups.items()
+                         for b in self._covered(arrays, prefix)}
+            elif isinstance(value, dict):
+                counts = {b.key: {value[name] for name in b.slices}
+                          for b in self._covered(value, entry)}
+                if any(len(c) > 1 for c in counts.values()):
+                    raise StateError(f"{entry} differ between tensors that step together")
+                value = {key: c.pop() for key, c in counts.items()}
+            blocked[entry] = value
+        self.base.set_state(blocked)
+
+    def _covered(self, entries: dict, what: str) -> list[_Block]:
+        """The blocks whose tensors have entries in ``entries``, keyed by tensor name.
+
+        StateError for a name that is no tensor, or a block with entries for
+        some of its tensors only.
+        """
+        unknown = set(entries) - set(self.params)
+        if unknown:
+            raise StateError(f"optimizer state {what} names unknown tensors {sorted(unknown)}")
+        covered = []
+        for b in self._blocks:
+            have = [name for name in b.slices if name in entries]
+            if have and len(have) < len(b.slices):
+                raise StateError(f"optimizer state {what} covers {have} "
+                                 f"but not all of {list(b.slices)}")
+            if have:
+                covered.append(b)
+        return covered
 
     def rebase_anchor(self, gamma_init: float = GAMMA_INIT) -> None:
         rebase_anchor(self.params, self.gammas, gamma_init=gamma_init)
-        self.displacements.clear()
 
-    def _measure(self, name: str, source: np.ndarray) -> Displacement:
-        """The displacement of ``source`` from the anchor: the cached one while it is current."""
-        p = self.params[name]
-        disp = self.displacements.get(name)
-        if disp is None or not disp.measures(source, p.anchor):
-            disp = Displacement(self.views[name], source, p.anchor, previous=disp)
-            self.displacements[name] = disp
-        return disp
+    def constraint_excess(self) -> Optional[float]:
+        """Worst row distance from the anchor minus the row's radius; None if nothing projects.
 
-    def _base_step(self) -> dict[str, np.ndarray]:
-        """Base-step every tensor and measure each projected update; return the updates."""
+        It is measured from the stored weights, so it also covers state set
+        from outside. Over one tensor, ``max(d - gamma)`` is ``max(d) - gamma``
+        exactly, because rounding is monotone.
+        """
+        if not self._projected:
+            return None
+        worst = -math.inf
+        for b in self._projected:
+            b.adopt_state(self.params)
+            self._set_radii(b)
+            _, dist = row_displacement(b.value, b.anchor, out=b.scratch, scratch=b.scratch)
+            dist -= b.radius
+            worst = max(worst, float(dist.max()))
+        return worst
+
+    def _gather(self) -> None:
+        """Check that every gradient is there, then adopt every array set from outside."""
         require_grads(self.params)
-        w_tilde = {name: self.base.step(name, p.value, p.grad) for name, p in self.params.items()}
-        for name in self.views:
-            self._measure(name, w_tilde[name])
-        return w_tilde
+        for b in self._blocks:
+            b.adopt_state(self.params)
+            b.adopt(self.params, "grad")
 
-    def _project(self, name: str) -> np.ndarray:
-        """The measured update of ``name`` projected at its current radius."""
-        disp = self.displacements[name]
-        gamma = self.radius(name)
-        return disp.projected(
-            project_rows(disp.w_tilde, disp.w_anchor, gamma, delta=disp.delta, dist=disp.dist),
-            gamma,
-        )
+    def _hyper_gradients(self, b: _Block, grad: np.ndarray, names) -> dict[str, float]:
+        """:func:`hyper_gradient` of each of ``names`` for ``grad``, the gradient rows of ``b``.
 
-    def _store(self, w_tilde: dict[str, np.ndarray]) -> None:
+        ``b`` must be measured; the work is done once for the whole block.
+        """
+        self._set_radii(b)
+        num = np.multiply(grad, b.delta, out=b.scratch).sum(axis=1)
+        return dict(zip(names, _segment_hyper_gradients(
+            num, b.dist, b.radius, [b.slices[name] for name in names])))
+
+    def _base_step(self) -> list[np.ndarray]:
+        """Base-step every gathered block and measure each projected update; return the updates."""
+        updates = []
+        for b in self._blocks:
+            w_tilde = self.base.step(b.key, b.value, b.grad)
+            if b.projected:
+                b.measured = False  # delta describes w_tilde until _store stores it
+                b.measure(w_tilde)
+            updates.append(w_tilde)
+        return updates
+
+    def _set_radii(self, b: _Block) -> None:
+        for name, rows in b.slices.items():
+            b.radius[rows] = self.radius(name)
+
+    def _project(self, b: _Block, w_tilde: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The measured update ``w_tilde`` of ``b`` projected at the current radii, into ``out``."""
+        self._set_radii(b)
+        return project_rows(w_tilde, b.anchor, b.radius, delta=b.delta, dist=b.dist, out=out)
+
+    def _store(self, updates: list[np.ndarray]) -> None:
         """Put every update in place, projected where it is measured, and consume the gradients."""
-        for name, p in self.params.items():
-            if name in self.views:
-                p.prev_unconstrained = w_tilde[name]
-                p.value = self._project(name)
+        for b, w_tilde in zip(self._blocks, updates):
+            if b.projected:
+                self._project(b, w_tilde, out=b.value)
+                b.bind(self.params, "prev_unconstrained", w_tilde)
+                b.measured = True
             else:
-                p.value = w_tilde[name]
+                b.bind(self.params, "value", w_tilde)
+        for p in self.params.values():
             p.grad = None
 
 
@@ -369,15 +580,17 @@ class FtpOptimizer(ProjectedOptimizer):
         the constraint update. Every radius gradient is taken, and checked,
         before any radius or tensor moves, so a failed step leaves no trace.
         """
-        require_grads(self.params)
+        self._gather()
         grads = {}
-        for name, gs in self.gammas.items():
-            p = self.params[name]
-            if p.prev_unconstrained is not None:
-                disp = self._measure(name, p.prev_unconstrained)
-                raw = hyper_gradient(disp.view.to_2d(p.grad), disp.w_tilde, disp.w_anchor,
-                                     gs.gamma, delta=disp.delta, dist=disp.dist)
-                grads[name] = anneal_gradient(raw, gs.kappa)
+        for b in self._projected:
+            live = [name for name in b.slices if self.params[name].prev_unconstrained is not None]
+            if not live:
+                continue
+            if not b.measured:
+                b.measure(b.prev_unconstrained)
+                b.measured = True
+            for name, raw in self._hyper_gradients(b, b.grad, live).items():
+                grads[name] = anneal_gradient(raw, self.gammas[name].kappa)
         bad = [name for name, g in grads.items() if not math.isfinite(g)]
         if bad:
             raise DomainError(f"non-finite constraint gradient for {bad}")

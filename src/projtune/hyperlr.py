@@ -66,9 +66,9 @@ class HyperSgd:
     def __init__(self, params: dict[str, ManagedParam], alpha0: float, kappa: float):
         self.params = params
         self.state = HyperLrState(alpha=float(alpha0), kappa_lr=float(kappa))
-        # nothing is projected
-        self.views: dict = {}
+        # nothing is projected, and gradients arrive as fresh arrays
         self.gammas: dict = {}
+        self.grad_views = None
 
     @property
     def alpha(self) -> float:
@@ -76,6 +76,9 @@ class HyperSgd:
 
     def gamma_values(self) -> dict[str, float]:
         return {}
+
+    def constraint_excess(self) -> None:
+        return None
 
     def get_state(self) -> dict:
         prev = self.state.prev_grad

@@ -43,29 +43,29 @@ def _relu(z, out=None):
     return np.maximum(z, 0.0, out=out)
 
 
-def _drelu(z):
-    return (z > 0).astype(np.float64)
+def _drelu(a):
+    return a > 0
 
 
 def _tanh(z, out=None):
     return np.tanh(z, out=out)
 
 
-def _dtanh(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _dtanh(a):
+    return 1.0 - a * a
 
 
 def _identity(z, out=None):
     return z
 
 
-def _didentity(z):
-    return np.ones_like(z)
+def _didentity(a):
+    return np.ones_like(a)
 
 
-# name -> (activation, derivative w.r.t. pre-activation); an activation
-# given ``out=`` writes in place: ``out`` is always its input ``z``
+# name -> (activation, derivative w.r.t. pre-activation written in terms of
+# the activation's output, so backprop needs no pre-activations); an
+# activation given ``out=`` writes in place: ``out`` is always its input ``z``
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
     "relu": (_relu, _drelu),
     "tanh": (_tanh, _dtanh),
@@ -169,24 +169,20 @@ def _check_inputs(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.
     return x
 
 
-def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's activation, the inputs first, for backprop."""
     x = _check_inputs(spec, params, inputs)
     acts = [x]
-    pre = []
     h = x
     for i in range(spec.n_layers):
         w = params[f"layer{i}.weight"]
         b = params[f"layer{i}.bias"]
-        z = h @ w.T + b
-        pre.append(z)
+        h = h @ w.T + b
         if i < spec.n_layers - 1:
             act, _ = _activation_fns(spec, i)
-            h = act(z)
-        else:
-            h = z
+            h = act(h, out=h)
         acts.append(h)
-    return pre, acts
+    return acts
 
 
 def forward(
@@ -242,14 +238,15 @@ def _loss_and_delta(spec: MlpSpec, outputs: np.ndarray, targets: np.ndarray):
     n = outputs.shape[0]
     if spec.loss == "softmax_ce":
         shifted = outputs - outputs.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1))
-        loss = float(np.mean(logsumexp - shifted[np.arange(n), t]))
         probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
+        sums = probs.sum(axis=1)
+        loss = float((np.log(sums) - shifted[np.arange(n), t]).sum() / n)
+        probs /= sums[:, None]
         probs[np.arange(n), t] -= 1.0
-        return loss, probs / n
+        probs /= n
+        return loss, probs
     diff = outputs - t
-    loss = float(np.mean((diff * diff).sum(axis=1)))
+    loss = float((diff * diff).sum(axis=1).sum() / n)
     return loss, 2.0 * diff / n
 
 
@@ -260,17 +257,26 @@ def evaluate_loss(spec: MlpSpec, params: NamedParams, batch: Batch) -> float:
     return loss
 
 
-def backward(spec: MlpSpec, params: NamedParams, batch: Batch) -> tuple[float, NamedParams]:
-    """Mean batch loss and analytic gradients for every named tensor."""
-    pre, acts = _forward_trace(spec, params, batch.inputs)
+def backward(
+    spec: MlpSpec, params: NamedParams, batch: Batch, *, out: NamedParams | None = None
+) -> tuple[float, NamedParams]:
+    """Mean batch loss and analytic gradients for every named tensor.
+
+    With ``out``, a dict holding an array of each tensor's shape under its
+    name, every gradient is written into its array, and the returned dict
+    holds those arrays. The result is the same bits either way.
+    """
+    acts = _forward_trace(spec, params, batch.inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], batch.targets)
     grads: NamedParams = {name: None for name in spec.layer_names()}  # type: ignore[misc]
     for i in reversed(range(spec.n_layers)):
-        grads[f"layer{i}.weight"] = delta.T @ acts[i]
-        grads[f"layer{i}.bias"] = delta.sum(axis=0)
+        w_name, b_name = f"layer{i}.weight", f"layer{i}.bias"
+        grads[w_name] = np.matmul(delta.T, acts[i], out=None if out is None else out[w_name])
+        grads[b_name] = delta.sum(axis=0, out=None if out is None else out[b_name])
         if i > 0:
             _, dact = _activation_fns(spec, i - 1)
-            delta = (delta @ params[f"layer{i}.weight"]) * dact(pre[i - 1])
+            delta = delta @ params[w_name]
+            delta *= dact(acts[i])
     return loss, grads
 
 

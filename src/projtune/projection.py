@@ -10,9 +10,9 @@ returned bit-identically unchanged (the shrink factor is clamped at 1).
 plain weight matrices: vectors (biases) become a single row, 4-axis
 convolution kernels flatten to (out_channels, rest).
 
-An optimizer measures each update once, as a :class:`Displacement`: the
-projection, the next step's hyper-gradient and the constraint check all read
-its ``delta`` and ``dist`` instead of recomputing them.
+An optimizer measures each update once with :func:`row_displacement`: the
+projection and the next step's hyper-gradient both read its ``delta`` and
+``dist`` instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import DomainError, UnsupportedShapeError
 
 __all__ = [
     "EPS_DIV",
-    "Displacement",
     "ProjectionView",
     "canonicalize",
     "project_rows",
@@ -82,22 +81,20 @@ def canonicalize(tensor, name: str = "") -> ProjectionView:
     return ProjectionView(name=name, source_shape=shape, rows=rows, cols=cols)
 
 
-def row_displacement(w_tilde: np.ndarray, w_anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+
+def row_displacement(
+    w_tilde: np.ndarray, w_anchor: np.ndarray, *, out=None, scratch=None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(delta, dist)`` of a canonical 2-D update: ``w_tilde - w_anchor`` and its row L1 norms.
 
-    Every consumer of the displacement computes it here, so cached and
-    recomputed values are the same bits.
+    ``delta`` is written into ``out`` and ``|delta|`` into ``scratch`` when
+    they are given; ``scratch`` may be ``out`` itself, which then holds
+    ``|delta|``. Every consumer of the displacement computes it here, so
+    cached and recomputed values are the same bits.
     """
-    delta = w_tilde - w_anchor
-    return delta, np.abs(delta).sum(axis=1)
-
-
-def _shrink_factors(dist: np.ndarray, gamma: float, eps_div: float = EPS_DIV) -> np.ndarray:
-    """Per-row factor by which :func:`project_rows` scales a row's displacement.
-
-    Rows whose factor is 1 or more lie inside the ball and are left as they are.
-    """
-    return gamma / np.maximum(dist, eps_div)
+    delta = np.subtract(w_tilde, w_anchor, out=out)
+    return delta, np.abs(delta, out=scratch).sum(axis=1)
 
 
 def resolve_displacement(wt, w0, delta, dist) -> tuple[np.ndarray, np.ndarray]:
@@ -115,83 +112,47 @@ def resolve_displacement(wt, w0, delta, dist) -> tuple[np.ndarray, np.ndarray]:
 
 
 def project_rows(
-    w_tilde, w_anchor, gamma: float, eps_div: float = EPS_DIV, *, delta=None, dist=None
+    w_tilde, w_anchor, gamma, eps_div: float = EPS_DIV, *, delta=None, dist=None, out=None
 ) -> np.ndarray:
     """Project each row of ``w_tilde`` into the gamma L1-ball around the anchor row.
 
-    Returns a new matrix whose rows satisfy ``|row - anchor_row|_1 <= gamma``
-    (up to float rounding). Rows whose displacement is already within gamma
-    are copied through untouched, so projecting twice is a no-op and an
-    infinite gamma reproduces ``w_tilde`` exactly.
+    Returns a matrix whose rows satisfy ``|row - anchor_row|_1 <= gamma``
+    (up to float rounding). ``gamma`` is one radius for every row or a
+    vector of one radius per row. Rows whose displacement is already within
+    their radius are copied through untouched, so projecting twice is a
+    no-op and an infinite radius reproduces ``w_tilde`` exactly.
 
     ``delta`` and ``dist`` are the :func:`row_displacement` of the two
     matrices when the caller already holds it; without them it is computed.
+    The result is written into ``out`` when it is given, else into a new
+    matrix.
     """
-    if not gamma >= 0:
-        raise DomainError(f"projection radius must be nonnegative, got {gamma}")
     wt = np.asarray(w_tilde, dtype=np.float64)
     w0 = np.asarray(w_anchor, dtype=np.float64)
     if wt.shape != w0.shape:
         raise DomainError(f"shape mismatch: {wt.shape} vs {w0.shape}")
     if wt.ndim != 2:
         raise DomainError(f"project_rows expects canonical 2-D input, got rank {wt.ndim}")
+    radius = np.asarray(gamma, dtype=np.float64)
+    if radius.ndim and radius.shape != wt.shape[:1]:
+        raise DomainError(f"{radius.shape[0]} radii for {wt.shape[0]} rows")
+    if not radius.min() >= 0:
+        raise DomainError(f"projection radius must be nonnegative, got {gamma}")
     delta, dist = resolve_displacement(wt, w0, delta, dist)
 
-    factor = _shrink_factors(dist, gamma, eps_div)
+    factor = radius / np.maximum(dist, eps_div)
     shrink = factor < 1.0
-    if not np.any(shrink):
-        return wt.copy()
+    shrunk = np.count_nonzero(shrink)
+    if not shrunk:
+        if out is None:
+            return wt.copy()
+        np.copyto(out, wt)
+        return out
+    if shrunk == len(shrink):
+        return np.add(np.multiply(factor[:, None], delta, out=out), w0, out=out)
     # every row computed in place and the kept rows copied back over theirs:
     # the same bits as rescaling only the shrunk rows, without gathering them
-    out = np.minimum(factor, 1.0)[:, None] * delta
+    out = np.multiply(np.minimum(factor, 1.0)[:, None], delta, out=out)
     out += w0
     np.copyto(out, wt, where=~shrink[:, None])
     return out
-
-
-class Displacement:
-    """One tensor's unconstrained update measured against its anchor, in the 2-D view.
-
-    ``w_tilde`` and ``w_anchor`` are the 2-D views of ``source`` and
-    ``anchor``; ``delta`` and ``dist`` their :func:`row_displacement`. A
-    measurement stands for its arrays only while they are the very same
-    objects (:meth:`measures`): state that is replaced, by a resume or an
-    anchor rebase, is measured again. ``previous`` lends its anchor view when
-    the anchor is unchanged, so each anchor is reshaped once.
-
-    :meth:`projected` records the tensor the projection made of this update
-    (``value``, and ``value_2d`` in the 2-D view) and its radius, from which
-    :meth:`rescaled_rows` names the rows it moved.
-    """
-
-    __slots__ = ("view", "source", "anchor", "w_tilde", "w_anchor", "delta", "dist",
-                 "value", "value_2d", "gamma")
-
-    def __init__(self, view: ProjectionView, source: np.ndarray, anchor: np.ndarray,
-                 previous: Displacement | None = None):
-        self.view = view
-        self.source = source
-        self.anchor = anchor
-        self.w_tilde = view.to_2d(source)
-        if previous is not None and previous.anchor is anchor:
-            self.w_anchor = previous.w_anchor
-        else:
-            self.w_anchor = view.to_2d(anchor)
-        self.delta, self.dist = row_displacement(self.w_tilde, self.w_anchor)
-        self.value = None
-        self.value_2d = None
-        self.gamma = None
-
-    def measures(self, source, anchor) -> bool:
-        return self.source is source and self.anchor is anchor
-
-    def projected(self, out: np.ndarray, gamma: float) -> np.ndarray:
-        """Record ``out``, the projection at radius ``gamma``; return it in the source shape."""
-        self.value_2d = out
-        self.value = self.view.from_2d(out)
-        self.gamma = gamma
-        return self.value
-
-    def rescaled_rows(self) -> np.ndarray:
-        """Mask of the rows the recorded projection rescaled; the rest equal ``w_tilde``."""
-        return _shrink_factors(self.dist, self.gamma) < 1.0

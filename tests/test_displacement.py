@@ -1,10 +1,12 @@
-"""The displacement each projecting optimizer measures once per update.
+"""The per-width blocks every projecting optimizer steps, held to per-tensor references.
 
-FTP, TPGM and MARS-SP measure ``(delta, dist)`` of every projected tensor
-once and hand it to ``project_rows`` and ``hyper_gradient``; the run loop's
-constraint check reads it too. These tests hold that path to the public
-functions called without cached arrays, bit for bit, including after the
-state the measurement describes has been replaced.
+FTP, TPGM, MARS-SP and base-only fine-tuning keep their tensors in one block
+per row width and run the base step, the measurement of each update, the
+hyper-gradient, the projection and the constraint check once per block.
+These tests hold that path to the public functions called tensor by tensor
+without cached arrays, bit for bit, including after the state the blocks
+hold has been replaced from outside: an anchor rebase, arrays set as a
+checkpoint restore sets them, and a resume into a fresh optimizer.
 """
 
 from dataclasses import asdict
@@ -15,11 +17,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from projtune import ftp as ftp_module
-from projtune.baselines import AdamW, MarsSpOptimizer, Sgd, TpgmOptimizer
-from projtune.bench.run import _constraint_excess
-from projtune.errors import DomainError
+from projtune.baselines import (
+    AdamW,
+    BaseOnlyOptimizer,
+    MarsSpOptimizer,
+    Sgd,
+    TpgmOptimizer,
+    freeze_mask,
+    l2_sp_grad,
+)
+from projtune.errors import DomainError, StateError
 from projtune.ftp import (
     FtpOptimizer,
+    GammaState,
     adam_update_gamma,
     anneal_gradient,
     hyper_gradient,
@@ -27,14 +37,12 @@ from projtune.ftp import (
     rebase_anchor,
 )
 from projtune.numerics import SeededRng, mars_norm
-from projtune.projection import (
-    Displacement,
-    canonicalize,
-    project_rows,
-    row_displacement,
-)
+from projtune.projection import canonicalize, project_rows, row_displacement
 
+# widths 4 (w and b share a block), 8 (conv) and 6 (head)
 SHAPES = {"w": (6, 4), "b": (4,), "conv": (3, 2, 2, 2), "head": (2, 6)}
+MARS_GAMMA = 0.3
+L2_SP_LAMBDA = 0.5
 
 
 def smooth_problem(seed):
@@ -60,6 +68,31 @@ def clone(params):
 
 def make_base(kind):
     return Sgd(lr=0.3, momentum=0.9) if kind == "sgd" else AdamW(lr=0.05)
+
+
+def build(method, params, base, grads_at):
+    """The optimizer the run loop builds for ``method``, on the smooth problem."""
+    if method == "ftp":
+        return FtpOptimizer(params, base, k=0.5, exclude_set=["head"], gamma_init=0.05)
+    if method == "tpgm":
+        return TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)), inner_iters=2,
+                             exclude_set=["head"], gamma_init=0.05)
+    if method == "mars-sp":
+        return MarsSpOptimizer(params, base, MARS_GAMMA, exclude_set=["head"])
+    return BaseOnlyOptimizer(params, base)
+
+
+def reference_base_step(params, base, views, radius):
+    """A base step and a projection at ``radius(name)``, tensor by tensor."""
+    for name, p in params.items():
+        w_tilde = base.step(name, p.value, p.grad)
+        if name in views:
+            view = views[name]
+            p.prev_unconstrained = w_tilde
+            w_tilde = view.from_2d(project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor),
+                                                radius(name)))
+        p.value = w_tilde
+        p.grad = None
 
 
 def reference_ftp_step(params, base, views, gammas):
@@ -108,22 +141,43 @@ def reference_tpgm_step(params, base, views, gammas, grad_fn, val_batches):
         p.grad = None
 
 
-def assign_grads(params, grads_at):
+def reference_step(method, params, base, shadow):
+    if method == "ftp":
+        reference_ftp_step(params, base, shadow.views, shadow.gammas)
+    elif method == "tpgm":
+        reference_tpgm_step(params, base, shadow.views, shadow.gammas, shadow.grad_fn,
+                            [0.5, -1.5])
+    else:
+        reference_base_step(params, base, shadow.views, lambda name: MARS_GAMMA)
+
+
+def assign_grads(method, t, params, grads_at, into=None):
+    """The run loop's gradients for ``method`` at iteration ``t``; written into ``into``'s views."""
     grads = grads_at({n: p.value for n, p in params.items()})
     for name, p in params.items():
-        p.grad = grads[name]
+        g = grads[name]
+        if into is not None:
+            into[name][...] = g
+            g = into[name]
+        if method == "l2-sp":
+            g = g + l2_sp_grad(p.value, p.anchor, L2_SP_LAMBDA)
+        p.grad = g
+    if method == "linear-probe" or (method == "lp-ft" and t <= 6):
+        freeze_mask(params, ["head"])
 
 
 def full_excess(opt, params):
-    """The constraint check measured from every row of the stored weights."""
+    """The constraint check measured from every row of the stored weights, tensor by tensor."""
     gammas = opt.gamma_values()
+    if not gammas:
+        return None
     return max(
         mars_norm(view.to_2d(params[n].value) - view.to_2d(params[n].anchor)) - gammas[n]
         for n, view in opt.views.items()
     )
 
 
-def assert_same_state(params, ref, opt, ref_gammas, base, ref_base):
+def assert_same_state(params, ref, opt, ref_gammas, ref_base):
     for name, p in params.items():
         q = ref[name]
         assert p.value.tobytes() == q.value.tobytes(), name
@@ -135,11 +189,12 @@ def assert_same_state(params, ref, opt, ref_gammas, base, ref_base):
     assert {n: asdict(g) for n, g in opt.gammas.items()} == {
         n: asdict(g) for n, g in ref_gammas.items()
     }
-    state, ref_state = base.get_state(), ref_base.get_state()
+    state, ref_state = opt.get_state(), ref_base.get_state()
     tensors, ref_tensors = state.pop("tensors"), ref_state.pop("tensors")
     assert state == ref_state
     assert tensors.keys() == ref_tensors.keys()
     for key, buf in tensors.items():
+        assert buf.shape == ref_tensors[key].shape, key
         assert buf.tobytes() == ref_tensors[key].tobytes(), key
 
 
@@ -152,21 +207,30 @@ def restore_as_checkpoint(params, shift):
             p.prev_unconstrained = p.prev_unconstrained + shift
 
 
+def resume(method, params, opt, base_kind, grads_at):
+    """A fresh optimizer on fresh params holding ``opt``'s state, as a resumed run builds it."""
+    fresh = make_managed({n: p.value for n, p in params.items()},
+                         anchors={n: p.anchor for n, p in params.items()})
+    for name, p in params.items():
+        if p.prev_unconstrained is not None:
+            fresh[name].prev_unconstrained = p.prev_unconstrained.copy()
+    again = build(method, fresh, make_base(base_kind), grads_at)
+    again.set_state(opt.get_state())
+    for name, gs in opt.gammas.items():
+        again.gammas[name] = GammaState(**asdict(gs))
+    return fresh, again
+
+
 @pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
-@pytest.mark.parametrize("method", ["ftp", "tpgm"])
-@pytest.mark.parametrize("event", ["none", "rebase", "restore"])
+@pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp", "ft", "linear-probe", "lp-ft",
+                                    "l2-sp"])
+@pytest.mark.parametrize("event", ["none", "rebase", "restore", "resume"])
 def test_cached_steps_match_uncached_reference(method, base_kind, event):
     params, grads_at = smooth_problem(7)
     ref = clone(params)
-    base, ref_base = make_base(base_kind), make_base(base_kind)
-    if method == "ftp":
-        opt = FtpOptimizer(params, base, k=0.5, exclude_set=["head"], gamma_init=0.05)
-        shadow = FtpOptimizer(ref, ref_base, k=0.5, exclude_set=["head"], gamma_init=0.05)
-    else:
-        opt = TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)), inner_iters=2,
-                            exclude_set=["head"], gamma_init=0.05)
-        shadow = TpgmOptimizer(ref, ref_base, lambda v, s: (0.0, grads_at(v, s)),
-                               inner_iters=2, exclude_set=["head"], gamma_init=0.05)
+    ref_base = make_base(base_kind)
+    opt = build(method, params, make_base(base_kind), grads_at)
+    shadow = build(method, ref, ref_base, grads_at)
     for t in range(1, 13):
         if t == 7 and event == "rebase":
             if method == "ftp":
@@ -177,17 +241,18 @@ def test_cached_steps_match_uncached_reference(method, base_kind, event):
         if t == 7 and event == "restore":
             restore_as_checkpoint(params, 0.01)
             restore_as_checkpoint(ref, 0.01)
-        assign_grads(params, grads_at)
-        assign_grads(ref, grads_at)
-        if method == "ftp":
-            opt.step()
-            reference_ftp_step(ref, ref_base, shadow.views, shadow.gammas)
-        else:
+        if t == 7 and event == "resume":
+            params, opt = resume(method, params, opt, base_kind, grads_at)
+        # odd steps hand the gradients over in the blocks, even ones as new arrays
+        assign_grads(method, t, params, grads_at, into=opt.grad_views if t % 2 else None)
+        assign_grads(method, t, ref, grads_at)
+        if method == "tpgm":
             opt.step([0.5, -1.5])
-            reference_tpgm_step(ref, ref_base, shadow.views, shadow.gammas,
-                                shadow.grad_fn, [0.5, -1.5])
-        assert_same_state(params, ref, opt, shadow.gammas, base, ref_base)
-        assert _constraint_excess(opt, params) == full_excess(shadow, ref)
+        else:
+            opt.step()
+        reference_step(method, ref, ref_base, shadow)
+        assert_same_state(params, ref, opt, shadow.gammas, ref_base)
+        assert opt.constraint_excess() == full_excess(shadow, ref)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, np.inf])
@@ -195,25 +260,88 @@ def test_mars_sp_constraint_excess_is_a_full_measurement(gamma):
     params, grads_at = smooth_problem(3)
     opt = MarsSpOptimizer(params, Sgd(lr=0.3, momentum=0.9), gamma=gamma)
     for t in range(8):
-        assign_grads(params, grads_at)
+        assign_grads("mars-sp", t, params, grads_at)
         opt.step()
         if t == 5:
             restore_as_checkpoint(params, 0.02)
-        assert _constraint_excess(opt, params) == full_excess(opt, params)
+        assert opt.constraint_excess() == full_excess(opt, params)
 
 
 def test_displacement_is_remeasured_when_its_arrays_are_replaced():
-    view = canonicalize(np.zeros((2, 3)), name="w")
-    anchor, w_tilde = np.zeros((2, 3)), np.ones((2, 3))
-    first = Displacement(view, w_tilde, anchor)
-    assert first.measures(w_tilde, anchor)
-    assert not first.measures(w_tilde.copy(), anchor)
-    assert not first.measures(w_tilde, anchor.copy())
-    second = Displacement(view, w_tilde * 2.0, anchor, previous=first)
-    assert second.w_anchor is first.w_anchor      # same anchor: its view is reused
-    third = Displacement(view, w_tilde, anchor.copy(), previous=second)
-    assert third.w_anchor is not second.w_anchor
-    np.testing.assert_array_equal(third.dist, [3.0, 3.0])
+    params, grads_at = smooth_problem(5)
+    opt = FtpOptimizer(params, Sgd(lr=0.3), gamma_init=0.05)
+    for t in range(3):
+        assign_grads("ftp", t, params, grads_at)
+        opt.step()
+    # a new anchor and a new cached update, as a restore sets them
+    params["w"].anchor = params["w"].anchor + 0.25
+    params["conv"].prev_unconstrained = params["conv"].prev_unconstrained - 0.5
+    assign_grads("ftp", 3, params, grads_at)
+    want = {}
+    for name, view in opt.views.items():
+        p = params[name]
+        raw = hyper_gradient(view.to_2d(p.grad), view.to_2d(p.prev_unconstrained),
+                             view.to_2d(p.anchor), opt.gammas[name].gamma)
+        want[name] = anneal_gradient(raw, opt.gammas[name].kappa)
+    spy = RecordingAdamUpdate()
+    original = ftp_module.adam_update_gamma
+    ftp_module.adam_update_gamma = spy
+    try:
+        opt.step()
+    finally:
+        ftp_module.adam_update_gamma = original
+    got = {name: g for name, g in zip(opt.gammas, spy.grads)}
+    assert got == want
+
+
+def test_a_rebound_value_is_copied_in_and_left_alone():
+    params = make_managed({"w": np.zeros((2, 3)), "b": np.zeros(3)})
+    opt = MarsSpOptimizer(params, Sgd(lr=1.0), gamma=np.inf)
+    for p in params.values():
+        p.grad = np.ones(p.value.shape)
+    opt.step()
+    rebound = np.full((2, 3), 0.5)
+    params["w"].value = rebound
+    assert opt.constraint_excess() == -np.inf   # read from the rebound array
+    params["w"].grad = np.full((2, 3), 0.25)
+    params["b"].grad = np.zeros(3)
+    opt.step()
+    np.testing.assert_array_equal(params["w"].value, np.full((2, 3), 0.25))
+    np.testing.assert_array_equal(params["b"].value, np.full(3, -1.0))
+    np.testing.assert_array_equal(rebound, np.full((2, 3), 0.5))
+    assert not np.shares_memory(params["w"].value, rebound)
+
+
+def test_a_rebound_array_of_another_shape_is_rejected():
+    params, grads_at = smooth_problem(2)
+    opt = FtpOptimizer(params, Sgd(lr=0.1))
+    assign_grads("ftp", 1, params, grads_at)
+    opt.step()
+    assign_grads("ftp", 2, params, grads_at)
+    params["conv"].value = np.zeros((3, 8))     # the canonical view, not the tensor's shape
+    with pytest.raises(DomainError, match="conv"):
+        opt.step()
+
+
+@pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
+def test_a_partial_optimizer_state_is_rejected(base_kind):
+    params, grads_at = smooth_problem(4)
+    opt = FtpOptimizer(params, make_base(base_kind))
+    assign_grads("ftp", 1, params, grads_at)
+    opt.step()
+    state = opt.get_state()
+    # w and b step together: a state for one of them alone does not fit
+    partial = {**state, "tensors": {k: v for k, v in state["tensors"].items()
+                                    if not k.endswith("/b")}}
+    with pytest.raises(StateError, match="not all"):
+        FtpOptimizer(clone(params), make_base(base_kind)).set_state(partial)
+    unknown = {**state, "tensors": {**state["tensors"], "velocity/ghost": np.zeros(2)}}
+    with pytest.raises(StateError, match="ghost"):
+        FtpOptimizer(clone(params), make_base(base_kind)).set_state(unknown)
+    if base_kind == "adamw":
+        uneven = {**state, "t_counts": {**state["t_counts"], "b": 7}}
+        with pytest.raises(StateError, match="t_counts"):
+            FtpOptimizer(clone(params), make_base(base_kind)).set_state(uneven)
 
 
 def test_cached_arrays_equal_recomputed_ones_and_are_checked():
@@ -231,16 +359,15 @@ def test_cached_arrays_equal_recomputed_ones_and_are_checked():
         hyper_gradient(g, wt, w0, 0.5, delta=delta[:4], dist=dist[:4])
 
 
-class RecordingHyperGradient:
-    """Stands in for ``projtune.ftp.hyper_gradient`` and keeps each call's cache and result."""
+class RecordingAdamUpdate:
+    """Stands in for ``projtune.ftp.adam_update_gamma`` and keeps each radius gradient."""
 
     def __init__(self):
-        self.calls = []
+        self.grads = []
 
-    def __call__(self, *args, **kwargs):
-        out = hyper_gradient(*args, **kwargs)
-        self.calls.append((kwargs.get("delta") is not None, out))
-        return out
+    def __call__(self, state, grad):
+        self.grads.append(grad)
+        return adam_update_gamma(state, grad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,18 +396,17 @@ def test_cached_hyper_gradient_matches_finite_differences(shape, seed, frac):
         return loss(view.from_2d(project_rows(view.to_2d(w_tilde), view.to_2d(anchor), g)))
 
     params = make_managed({"t": anchor})
-    opt = FtpOptimizer(params, Sgd(lr=1.0), gamma_init=gamma)
+    opt = FtpOptimizer(params, Sgd(lr=1.0), gamma_init=gamma)  # k = 1: no annealing
     params["t"].grad = step0
     opt.step()
     params["t"].grad = coef * np.cos(params["t"].value)
-    spy = RecordingHyperGradient()
-    original = ftp_module.hyper_gradient
-    ftp_module.hyper_gradient = spy
+    spy = RecordingAdamUpdate()
+    original = ftp_module.adam_update_gamma
+    ftp_module.adam_update_gamma = spy
     try:
         opt.step()
     finally:
-        ftp_module.hyper_gradient = original
-    [(cached, raw)] = spy.calls
-    assert cached
+        ftp_module.adam_update_gamma = original
+    [raw] = spy.grads
     fd = (loss_at(gamma + h) - loss_at(gamma - h)) / (2.0 * h)
     assert raw == pytest.approx(fd, rel=1e-5, abs=1e-7)

@@ -123,7 +123,7 @@ class TestStreamingForward:
         for rows in (1, 5, 64, 257):
             x = SeededRng(rows).normal((rows, widths[0]))
             for inputs in (x, np.asfortranarray(x)):
-                want = _forward_trace(spec, params, inputs)[1][-1]
+                want = _forward_trace(spec, params, inputs)[-1]
                 for got in (forward(spec, params, inputs),
                             forward(spec, params, inputs, work=work)):
                     assert got.shape == want.shape
@@ -201,6 +201,74 @@ class TestBackward:
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=1e-10, atol=1e-12)
+
+
+def frozen_loss_and_delta(loss_kind, outputs, t):
+    """The loss and its output gradient as an earlier version computed them."""
+    n = outputs.shape[0]
+    if loss_kind == "softmax_ce":
+        shifted = outputs - outputs.max(axis=1, keepdims=True)
+        logsumexp = np.log(np.exp(shifted).sum(axis=1))
+        loss = float(np.mean(logsumexp - shifted[np.arange(n), t]))
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(n), t] -= 1.0
+        return loss, probs / n
+    diff = outputs - t
+    return float(np.mean((diff * diff).sum(axis=1))), 2.0 * diff / n
+
+
+FROZEN_DERIVATIVES = {
+    "relu": lambda z: (z > 0).astype(np.float64),
+    "tanh": lambda z: 1.0 - np.tanh(z) * np.tanh(z),
+    "identity": np.ones_like,
+}
+
+
+def frozen_backward(spec, params, batch):
+    """backward as an earlier version computed it: derivatives from the pre-activations."""
+    h, pre, acts = batch.inputs, [], [batch.inputs]
+    for i in range(spec.n_layers):
+        z = h @ params[f"layer{i}.weight"].T + params[f"layer{i}.bias"]
+        pre.append(z)
+        h = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh,
+             "identity": lambda z: z}[spec.activations[i]](z) if i < spec.n_layers - 1 else z
+        acts.append(h)
+    loss, delta = frozen_loss_and_delta(spec.loss, acts[-1], batch.targets)
+    grads = {}
+    for i in reversed(range(spec.n_layers)):
+        grads[f"layer{i}.weight"] = delta.T @ acts[i]
+        grads[f"layer{i}.bias"] = delta.sum(axis=0)
+        if i > 0:
+            dact = FROZEN_DERIVATIVES[spec.activations[i - 1]]
+            delta = (delta @ params[f"layer{i}.weight"]) * dact(pre[i - 1])
+    return loss, grads
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
+@pytest.mark.parametrize("widths", [(8, 16, 16, 4), (8, 512, 512, 4)])
+def test_backward_is_bitwise_the_frozen_formula(activation, loss, widths):
+    spec = MlpSpec(widths=widths, activations=(activation,) * 2, loss=loss)
+    rng = SeededRng(31)
+    params = init_params(spec, rng.derive(0))
+    for i in range(spec.n_layers):
+        params[f"layer{i}.bias"] = rng.derive(1, i).normal((widths[i + 1],), stddev=0.3)
+    out = {name: np.empty_like(v) for name, v in params.items()}
+    for trial in range(6 if widths[1] > 16 else 25):
+        x = rng.derive(2, trial).normal((16, widths[0]), stddev=2.0)
+        if loss == "softmax_ce":
+            y = np.asarray(rng.derive(3, trial).integers(0, widths[-1], size=16))
+        else:
+            y = rng.derive(3, trial).normal((16, widths[-1]))
+        want_loss, want = frozen_backward(spec, params, Batch(x, y))
+        for got_loss, got in (backward(spec, params, Batch(x, y)),
+                              backward(spec, params, Batch(x, y), out=out)):
+            assert got_loss == want_loss
+            assert list(got) == spec.layer_names()
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (trial, name)
+        assert all(got[name] is out[name] for name in out)
 
 
 class TestFiniteDiffOracle:

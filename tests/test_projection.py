@@ -60,6 +60,30 @@ class TestProjectRows:
         with pytest.raises(DomainError):
             project_rows(np.zeros((1, 2)), np.zeros((2, 2)), 1.0)
 
+    def test_all_shrunk_rows_are_the_per_row_formula_bitwise(self):
+        rng = SeededRng(4)
+        w0 = rng.normal((9, 7))
+        w = w0 + rng.normal((9, 7), stddev=3.0)
+        delta = w - w0
+        dist = np.abs(delta).sum(axis=1)
+        gamma = 0.5 * float(dist.min())   # every row leaves the ball
+        want = np.stack([w0[i] + (gamma / dist[i]) * delta[i] for i in range(9)])
+        assert project_rows(w, w0, gamma).tobytes() == want.tobytes()
+
+    def test_per_row_radii_are_each_row_projected_alone(self):
+        rng = SeededRng(5)
+        w, w0 = rng.normal((6, 4)), rng.normal((6, 4))
+        radii = np.array([0.0, 0.5, 1.0, 2.0, np.inf, 3.0])
+        want = np.concatenate([project_rows(w[i:i + 1], w0[i:i + 1], r)
+                               for i, r in enumerate(radii)])
+        out = np.empty_like(w)
+        assert project_rows(w, w0, radii, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            project_rows(w, w0, radii[:5])
+        with pytest.raises(DomainError):
+            project_rows(w, w0, np.where(radii == 2.0, np.nan, radii))
+
     def test_infinite_gamma_is_identity(self):
         rng = SeededRng(9)
         w, w0 = rng.normal((5, 5)), rng.normal((5, 5))
