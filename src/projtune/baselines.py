@@ -269,10 +269,12 @@ class TpgmOptimizer(ProjectedOptimizer):
                     self._project(b, w_tilde, out=b.scratch) if b.projected else w_tilde))
             _, val_grads = self.grad_fn(probe, batch)
             raw = {}
-            for b in self._projected:
+            for b, w_tilde in zip(self._blocks, updates):
+                if not b.projected:
+                    continue
                 # the probe in scratch is spent: the gradient takes its place
                 grad = b.fill(b.scratch, val_grads)
-                raw.update(self._hyper_gradients(b, grad, b.slices))
+                raw.update(self._hyper_gradients(b, grad, w_tilde, b.slices))
             for name, gs in self.gammas.items():
                 adam_update_gamma(gs, raw[name])
         self._store(updates)

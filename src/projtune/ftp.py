@@ -177,12 +177,14 @@ def hyper_gradient(
     grad: np.ndarray,
     prev_unconstrained: Optional[np.ndarray],
     anchor: np.ndarray,
-    gamma: float,
+    gamma,
     eps_div: float = EPS_DIV,
     *,
     delta: Optional[np.ndarray] = None,
     dist: Optional[np.ndarray] = None,
-) -> float:
+    segments: Optional[list[slice]] = None,
+    scratch: Optional[np.ndarray] = None,
+):
     """Derivative of the loss w.r.t. the constraint radius, reusing ``grad``.
 
     Sums, over rows whose cached displacement exceeds gamma (the rows the
@@ -192,6 +194,13 @@ def hyper_gradient(
 
     ``delta`` and ``dist`` are the cached :func:`~projtune.projection.row_displacement`
     of ``prev_unconstrained`` from ``anchor``; without them it is computed.
+
+    With ``segments``, a list of row slices, the rows hold several tensors
+    stacked: ``gamma`` may give one radius per row, and the result is a list
+    with one derivative per segment, each summed over that segment's own
+    rows (a masked or zero-padded sum would add in another order and give
+    other bits). ``scratch``, shaped like ``grad``, receives the products
+    ``grad * delta``; it may be ``grad`` itself.
     """
     if prev_unconstrained is None:
         raise StateError("no cached unconstrained weights; run a step first")
@@ -203,31 +212,12 @@ def hyper_gradient(
             f"hyper_gradient expects matching 2-D shapes, got {g.shape}/{wt.shape}/{w0.shape}"
         )
     delta, dist = resolve_displacement(wt, w0, delta, dist)
-    [out] = _segment_hyper_gradients((g * delta).sum(axis=1), dist, gamma,
-                                     [slice(0, len(dist))], eps_div)
-    return out
-
-
-def _segment_hyper_gradients(num: np.ndarray, dist: np.ndarray, gamma, segments,
-                             eps_div: float = EPS_DIV) -> list[float]:
-    """:func:`hyper_gradient` of each run of rows in ``segments``.
-
-    ``num`` holds each row's ``grad . delta`` (it is overwritten) and
-    ``dist`` its distance; ``gamma`` is one radius or one per row. Each
-    segment sums over its own gathered active rows: a masked or zero-padded
-    sum would add in another order and give other bits.
-    """
     active = (dist > gamma) & (dist >= eps_div)
+    num = np.multiply(g, delta, out=scratch).sum(axis=1)
     ratio = np.divide(num, dist, out=num, where=active)
-    flags, values = active.tolist(), ratio.tolist()
-    out = []
-    for rows in segments:
-        if rows.stop - rows.start == 1:
-            out.append(values[rows.start] if flags[rows.start] else 0.0)
-        else:
-            kept = ratio[rows][active[rows]]
-            out.append(float(kept.sum()) if kept.size else 0.0)
-    return out
+    sums = [float(ratio[rows][active[rows]].sum())
+            for rows in ([slice(None)] if segments is None else segments)]
+    return sums[0] if segments is None else sums
 
 
 def anneal_gradient(grad: float, kappa: float) -> float:
@@ -504,15 +494,16 @@ class ProjectedOptimizer:
             b.adopt_state(self.params)
             b.adopt(self.params, "grad")
 
-    def _hyper_gradients(self, b: _Block, grad: np.ndarray, names) -> dict[str, float]:
+    def _hyper_gradients(self, b: _Block, grad: np.ndarray, w_tilde: np.ndarray,
+                         names) -> dict[str, float]:
         """:func:`hyper_gradient` of each of ``names`` for ``grad``, the gradient rows of ``b``.
 
-        ``b`` must be measured; the work is done once for the whole block.
+        ``b`` must be measured at ``w_tilde``; the work is done once for the whole block.
         """
         self._set_radii(b)
-        num = np.multiply(grad, b.delta, out=b.scratch).sum(axis=1)
-        return dict(zip(names, _segment_hyper_gradients(
-            num, b.dist, b.radius, [b.slices[name] for name in names])))
+        return dict(zip(names, hyper_gradient(
+            grad, w_tilde, b.anchor, b.radius, delta=b.delta, dist=b.dist,
+            segments=[b.slices[name] for name in names], scratch=b.scratch)))
 
     def _base_step(self) -> list[np.ndarray]:
         """Base-step every gathered block and measure each projected update; return the updates."""
@@ -589,7 +580,8 @@ class FtpOptimizer(ProjectedOptimizer):
             if not b.measured:
                 b.measure(b.prev_unconstrained)
                 b.measured = True
-            for name, raw in self._hyper_gradients(b, b.grad, live).items():
+            for name, raw in self._hyper_gradients(b, b.grad, b.prev_unconstrained,
+                                                    live).items():
                 grads[name] = anneal_gradient(raw, self.gammas[name].kappa)
         bad = [name for name, g in grads.items() if not math.isfinite(g)]
         if bad:

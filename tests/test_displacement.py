@@ -359,6 +359,29 @@ def test_cached_arrays_equal_recomputed_ones_and_are_checked():
         hyper_gradient(g, wt, w0, 0.5, delta=delta[:4], dist=dist[:4])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_segmented_hyper_gradient_equals_each_tensor_alone(seed):
+    # a block of three tensors of width 4, one of them a single row
+    rng = SeededRng(seed)
+    rows = {"a": slice(0, 5), "b": slice(5, 6), "c": slice(6, 9)}
+    wt, w0, g = rng.normal((9, 4)), rng.normal((9, 4)), rng.normal((9, 4))
+    delta, dist = row_displacement(wt, w0)
+    for gammas in ({"a": float(np.median(dist[rows["a"]])), "b": 0.0, "c": 1e9},
+                   {"a": 0.0, "b": 1e9, "c": float(dist[rows["c"]].min())}):
+        radius = np.empty(9)
+        for name, r in rows.items():
+            radius[r] = gammas[name]
+        alone = [hyper_gradient(g[r], wt[r], w0[r], gammas[name]) for name, r in rows.items()]
+        segs = list(rows.values())
+        assert hyper_gradient(g, wt, w0, radius, delta=delta, dist=dist, segments=segs,
+                              scratch=np.empty_like(g)) == alone
+        # the products may overwrite the gradient itself, as TPGM's step lets them
+        assert hyper_gradient(g, wt, w0, radius, segments=segs) == alone
+        g_in_place = g.copy()
+        assert hyper_gradient(g_in_place, wt, w0, radius, segments=segs,
+                              scratch=g_in_place) == alone
+
+
 class RecordingAdamUpdate:
     """Stands in for ``projtune.ftp.adam_update_gamma`` and keeps each radius gradient."""
 
