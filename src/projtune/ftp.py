@@ -177,14 +177,14 @@ def hyper_gradient(
     grad: np.ndarray,
     prev_unconstrained: Optional[np.ndarray],
     anchor: np.ndarray,
-    gamma,
+    gamma: float | np.ndarray,
     eps_div: float = EPS_DIV,
     *,
     delta: Optional[np.ndarray] = None,
     dist: Optional[np.ndarray] = None,
     segments: Optional[list[slice]] = None,
     scratch: Optional[np.ndarray] = None,
-):
+) -> float | list[float]:
     """Derivative of the loss w.r.t. the constraint radius, reusing ``grad``.
 
     Sums, over rows whose cached displacement exceeds gamma (the rows the
