@@ -9,7 +9,6 @@ harness.
 from .audit import (
     LipschitzReport,
     estimate_diff_lipschitz_lb,
-    layer_lipschitz_upper,
     verify_lemma1_bound,
 )
 from .baselines import (
@@ -52,7 +51,7 @@ from .model import (
     forward,
     init_params,
 )
-from .numerics import SeededRng, mars_norm, row_l1_distances, sample_normal
+from .numerics import SeededRng, mars_norm
 from .projection import ProjectionView, canonicalize, project_rows
 
 __version__ = "0.1.0"
@@ -92,14 +91,11 @@ __all__ = [
     "hyper_sgd_lr_step",
     "init_params",
     "l2_sp_grad",
-    "layer_lipschitz_upper",
     "make_base_optimizer",
     "make_managed",
     "mars_norm",
     "project_rows",
     "rebase_anchor",
-    "row_l1_distances",
-    "sample_normal",
     "verify_lemma1_bound",
     "wise_interpolate",
     "wise_interpolate_params",

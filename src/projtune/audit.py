@@ -31,7 +31,6 @@ __all__ = [
     "PairSampler",
     "estimate_diff_lipschitz_lb",
     "gaussian_pair_sampler",
-    "layer_lipschitz_upper",
     "mixed_pair_sampler",
     "sign_probe_inputs",
     "verify_lemma1_bound",
@@ -42,11 +41,6 @@ BOUND_TOL = 1e-9
 ONE_LIPSCHITZ_ACTIVATIONS = frozenset({"relu", "tanh", "identity"})
 
 PairSampler = Callable[[int], tuple[np.ndarray, np.ndarray]]
-
-
-def layer_lipschitz_upper(w) -> float:
-    """Exact l_inf->l_inf Lipschitz constant of a linear layer: its MARS norm."""
-    return mars_norm(w)
 
 
 def sign_probe_inputs(diff: np.ndarray) -> np.ndarray:

@@ -66,7 +66,8 @@ class Sgd:
         self.nesterov = bool(nesterov)
         self.velocity: dict[str, np.ndarray] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
         g = grad + self.weight_decay * value if self.weight_decay else grad
@@ -78,8 +79,8 @@ class Sgd:
                 buf *= self.momentum
                 buf += g
             g = g + self.momentum * buf if self.nesterov else buf
-        # value - lr * g, computed into one fresh array
-        out = np.multiply(g, self.lr)
+        # value - lr * g, computed in one array
+        out = np.multiply(g, self.lr, out=out)
         return np.subtract(value, out, out=out)
 
     def get_state(self) -> dict:
@@ -112,7 +113,8 @@ class AdamW:
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
         w = value * (1.0 - self.lr * self.weight_decay) if self.weight_decay else value
@@ -139,7 +141,7 @@ class AdamW:
         den = np.divide(v, 1.0 - self.beta2 ** t)
         np.sqrt(den, out=den)
         den += self.eps
-        out = np.divide(m, 1.0 - self.beta1 ** t)
+        out = np.divide(m, 1.0 - self.beta1 ** t, out=out)
         out *= self.lr
         out /= den
         return np.subtract(w, out, out=out)
@@ -265,8 +267,11 @@ class TpgmOptimizer(ProjectedOptimizer):
         for batch in val_batches[:self.inner_iters]:
             probe = {}
             for b, w_tilde in zip(self._blocks, updates):
-                probe.update(b.views_of(
-                    self._project(b, w_tilde, out=b.scratch) if b.projected else w_tilde))
+                if b.projected:
+                    self._project(b, w_tilde, out=b.scratch)
+                    probe.update(b.views["scratch"])
+                else:
+                    probe.update(b.update_views[1 - self._turn])
             _, val_grads = self.grad_fn(probe, batch)
             raw = {}
             for b, w_tilde in zip(self._blocks, updates):

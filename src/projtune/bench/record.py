@@ -28,11 +28,17 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+# JSON's spelling of the float cells that are not finite
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 @dataclass
 class RunRecord:
     gamma_names: tuple[str, ...] = ()
     rows: list[tuple] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    # (row, its CSV line) for the rows formatted so far; see row_lines
+    _lines: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def columns(self) -> tuple[str, ...]:
         return FIXED_COLUMNS + tuple(f"gamma.{name}" for name in self.gamma_names)
@@ -54,6 +60,19 @@ class RunRecord:
                int(bwd_count)) + tuple(float(gammas[n]) for n in self.gamma_names)
         self.rows.append(row)
 
+    def row_lines(self) -> list[str]:
+        """Each row's cells joined by commas, as ``metrics.csv`` holds them.
+
+        A row is formatted once while it stays in ``rows``: both formats
+        are built from these lines.
+        """
+        done = self._lines
+        if len(done) > len(self.rows) or any(row is not kept for row, (kept, _) in
+                                             zip(self.rows, done)):
+            done.clear()
+        done.extend((row, ",".join(map(_cell, row))) for row in self.rows[len(done):])
+        return [line for _, line in done]
+
     # column accessors used by analysis and the acceptance suite
 
     def column(self, name: str) -> list:
@@ -70,18 +89,26 @@ class RunRecord:
 
 
 def _to_csv_text(record: RunRecord) -> str:
-    lines = [",".join(record.columns())]
-    for row in record.rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(record.columns()), *record.row_lines()]) + "\n"
 
 
-def _to_json_obj(record: RunRecord) -> dict:
-    return {
-        "columns": list(record.columns()),
-        "rows": [list(row) for row in record.rows],
-        "summary": dict(record.summary),
-    }
+def _to_json_text(record: RunRecord) -> str:
+    """``json.dumps`` of the record with ``indent=2, sort_keys=True``, its rows from the CSV lines.
+
+    JSON writes an int or a float as the CSV does, but for the non-finite
+    floats; each row is a list with one cell per line.
+    """
+    text = json.dumps({"columns": list(record.columns()), "rows": [],
+                       "summary": dict(record.summary)}, indent=2, sort_keys=True)
+    lines = record.row_lines()
+    if lines:
+        rows = "\n    ],\n    [\n      ".join(
+            (",".join(_JSON_NONFINITE.get(c, c) for c in line.split(","))
+             if "n" in line else line).replace(",", ",\n      ")
+            for line in lines)
+        text = text.replace('\n  "rows": [],\n',
+                            f'\n  "rows": [\n    [\n      {rows}\n    ]\n  ],\n', 1)
+    return text + "\n"
 
 
 def emit_metrics(record: RunRecord, fmt: str, path) -> None:
@@ -89,7 +116,7 @@ def emit_metrics(record: RunRecord, fmt: str, path) -> None:
     if fmt == "csv":
         payload = _to_csv_text(record)
     elif fmt == "json":
-        payload = json.dumps(_to_json_obj(record), indent=2, sort_keys=True) + "\n"
+        payload = _to_json_text(record)
     else:
         raise ConfigError(f"unknown metrics format {fmt!r}; choose 'csv' or 'json'")
     with open(path, "w", encoding="utf-8", newline="") as f:

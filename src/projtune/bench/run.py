@@ -153,8 +153,8 @@ def pretrain(
     values = init_params(spec, root.derive(_TAG_MODEL_INIT))
     opt = make_base_optimizer("sgd", config.pretrain_lr)
     iters = config.pretrain_epochs * config.iters_per_epoch(len(dataset.train))
-    for t in range(1, iters + 1):
-        batch = draw_batch(root.derive(_TAG_PRETRAIN_BATCH, t), dataset.train, config.batch_size)
+    for t, rng in enumerate(root.streams(_TAG_PRETRAIN_BATCH, range(1, iters + 1)), start=1):
+        batch = draw_batch(rng, dataset.train, config.batch_size)
         loss, grads = backward(spec, values, batch)
         if not math.isfinite(loss):
             raise RunError(f"pretraining diverged at iteration {t}")
@@ -318,9 +318,12 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
     lpft_boundary = total_iters // 2 if config.method == "lp-ft" else 0
 
     max_excess = -math.inf
-    for t in range(start_iter + 1, total_iters + 1):
+    iterations = range(start_iter + 1, total_iters + 1)
+    if config.method == "tpgm":
+        val_rngs = root.streams(_TAG_VAL, iterations, width=config.tpgm_inner_iters)
+    for t, batch_rng in zip(iterations, root.streams(_TAG_BATCH, iterations)):
         tic = time.perf_counter()
-        batch = draw_batch(root.derive(_TAG_BATCH, t), ft_train, config.batch_size)
+        batch = draw_batch(batch_rng, ft_train, config.batch_size)
         values = {name: p.value for name, p in params.items()}
         loss, grads = counting.loss_and_grads(values, batch, out=optimizer.grad_views)
         if not math.isfinite(loss):
@@ -343,10 +346,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         if probe_phase:
             freeze_mask(params, head_names(spec))
         if config.method == "tpgm":
-            val_batches = [
-                draw_batch(root.derive(_TAG_VAL, t, j), ft_val, config.batch_size)
-                for j in range(config.tpgm_inner_iters)
-            ]
+            val_batches = [draw_batch(rng, ft_val, config.batch_size) for rng in next(val_rngs)]
             optimizer.step(val_batches)
         else:
             optimizer.step()

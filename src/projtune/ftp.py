@@ -64,8 +64,11 @@ class ManagedParam:
 
     Once a :class:`ProjectedOptimizer` has stepped it, each field is a view
     into the optimizer's blocks, which a later step may overwrite: copy what
-    must outlive the step. A field set to a new array is copied in at the
-    next step.
+    must outlive the step. A projected tensor's ``value`` is overwritten in
+    place by every step. Its ``prev_unconstrained``, like an unprojected
+    tensor's ``value``, lives in one of two buffers that steps use in turn,
+    so the array a param holds after step t is overwritten by step t+2. A
+    field set to a new array is copied in at the next step.
     """
 
     name: str
@@ -269,17 +272,23 @@ class _Block:
     A projected block holds the canonical 2-D rows of every projected tensor
     of one row width; the unprojected block holds every other tensor as a
     column, one element per row. ``layout`` maps each member to its 2-D view
-    and ``slices`` to its rows. Each managed param's ``value``, ``grad`` and,
-    for projected tensors, ``anchor`` and ``prev_unconstrained`` are views
-    into the block's arrays of those names, kept in ``bound``; :meth:`adopt`
-    copies in an array set from outside. ``delta``, ``dist`` and ``measured`` cache the
+    and ``slices`` to its rows; ``views`` maps a field to each member's view
+    of the block's array of that name.
+
+    The base step writes each update into the other of the two ``updates``
+    buffers, whose member views (``update_views``) are built once. The last
+    update is a projected block's ``prev_unconstrained`` and the unprojected
+    block's ``value``; a projected block projects it into its own ``value``.
+    ``delta``, ``dist`` and ``measured`` cache the
     :func:`~projtune.projection.row_displacement` of ``prev_unconstrained``
     from ``anchor``; ``scratch`` holds temporaries that never leave a step,
-    and ``radius`` each row's projection radius.
+    ``radius`` each row's projection radius and ``radii`` the radius each
+    member's rows were last set to.
     """
 
-    __slots__ = ("key", "layout", "slices", "projected", "value", "grad", "anchor",
-                 "prev_unconstrained", "delta", "dist", "scratch", "radius", "measured", "bound")
+    __slots__ = ("key", "layout", "slices", "projected", "value", "grad", "anchor", "updates",
+                 "update_views", "views", "prev_unconstrained", "delta", "dist", "scratch",
+                 "radius", "radii", "measured")
 
     def __init__(self, key: str, layout: list[ProjectionView], projected: bool):
         self.key = key
@@ -291,19 +300,24 @@ class _Block:
             rows += view.rows
         self.projected = projected
         shape = (rows, layout[0].cols)
-        self.value = np.zeros(shape)
         self.grad = np.zeros(shape)
-        self.bound = {"value": self.views_of(self.value), "grad": self.views_of(self.grad)}
+        self.updates = (np.zeros(shape), np.zeros(shape))
+        self.update_views = tuple(self.views_of(u) for u in self.updates)
+        self.views = {"grad": self.views_of(self.grad)}
         self.measured = False
         if projected:
+            self.value = np.zeros(shape)
             self.anchor = np.zeros(shape)
-            self.prev_unconstrained = np.zeros(shape)
-            self.bound["anchor"] = self.views_of(self.anchor)
-            self.bound["prev_unconstrained"] = self.views_of(self.prev_unconstrained)
+            self.prev_unconstrained = self.updates[0]
             self.delta = np.empty(shape)
             self.dist = None
             self.scratch = np.empty(shape)
             self.radius = np.empty(rows)
+            self.radii: list = [None] * len(layout)
+            self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor),
+                              scratch=self.views_of(self.scratch))
+        else:
+            self.value = self.updates[0]
 
     def views_of(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Each member's rows of the block-shaped ``arr``, in the member's shape."""
@@ -316,45 +330,31 @@ class _Block:
             out[rows] = self.layout[name].to_2d(arrays[name])
         return out
 
-    def bind(self, params: dict[str, ManagedParam], field: str, arr: np.ndarray) -> None:
-        """Make ``arr`` the block's ``field`` and each member's ``field`` a view into it."""
-        setattr(self, field, arr)
-        self.bound[field] = self.views_of(arr)
-        for name, view in self.bound[field].items():
-            setattr(params[name], field, view)
+    def entries(self, params: dict[str, ManagedParam], field: str, arr: np.ndarray,
+                views: dict[str, np.ndarray]) -> list[tuple]:
+        """``(param, field, view, rows, layout, block)`` for each member's ``field`` in ``arr``.
 
-    def adopt(self, params: dict[str, ManagedParam], field: str) -> bool:
-        """Copy in each member's ``field`` that is not a view of the block; True if one was."""
-        bound = self.bound[field]
-        changed = False
-        for name, rows in self.slices.items():
-            arr = getattr(params[name], field)
-            if arr is None or arr is bound[name]:
-                continue
-            getattr(self, field)[rows] = self.layout[name].to_2d(arr)
-            setattr(params[name], field, bound[name])
-            changed = True
-        return changed
+        ``block`` is the block whose displacement a new array in ``field``
+        invalidates, or None.
+        """
+        stale = self if field in ("anchor", "prev_unconstrained") else None
+        return [(params[name], field, views[name], arr[rows], self.layout[name], stale)
+                for name, rows in self.slices.items()]
 
     def measure(self, w_tilde: np.ndarray) -> None:
         """Put the displacement of ``w_tilde`` from the anchor in ``delta`` and ``dist``."""
         self.dist = row_displacement(w_tilde, self.anchor, out=self.delta, scratch=self.scratch)[1]
 
-    def adopt_state(self, params: dict[str, ManagedParam]) -> None:
-        self.adopt(params, "value")
-        if self.projected and (self.adopt(params, "anchor")
-                               | self.adopt(params, "prev_unconstrained")):
-            self.measured = False
-
 
 class ProjectedOptimizer:
     """A base optimizer whose updates are projected onto per-tensor MARS balls.
 
-    ``base`` is any object with ``step(key, value, grad) -> new_value`` and
-    a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
-    whose state is this optimizer's state. Every tensor that is projectable
-    and not in ``exclude_set`` is projected around its anchor; the rest
-    receive only the base step, bit-identically to running it standalone.
+    ``base`` is any object with ``step(key, value, grad, out=) -> out``, which
+    writes the stepped value into ``out``, and a ``get_state``/``set_state``
+    pair (e.g. :class:`projtune.baselines.Sgd`), whose state is this
+    optimizer's state. Every tensor that is projectable and not in
+    ``exclude_set`` is projected around its anchor; the rest receive only
+    the base step, bit-identically to running it standalone.
 
     The tensors live in blocks (:class:`_Block`): one per row width of the
     projected tensors, and one column for all the rest. The base step, the
@@ -394,7 +394,31 @@ class ProjectedOptimizer:
         self._projected = [b for b in self._blocks if b.projected]
         # backward(out=) writes the gradients straight into the blocks
         self.grad_views = {name: view for b in self._blocks
-                           for name, view in b.bound["grad"].items()}
+                           for name, view in b.views["grad"].items()}
+        # which of each block's two update buffers holds the last update
+        self._turn = 0
+        self._grad_entries = [e for b in self._blocks
+                              for e in b.entries(params, "grad", b.grad, b.views["grad"])]
+        # per turn: the arrays the params hold, and what a step that ends in it binds
+        self._state_entries = tuple(self._entries(turn) for turn in (0, 1))
+        self._bound = tuple(
+            [(params[name], "prev_unconstrained" if b.projected else "value", view)
+             for b in self._blocks for name, view in b.update_views[turn].items()]
+            + [(p, "grad", None) for p in params.values()]
+            for turn in (0, 1))
+
+    def _entries(self, turn: int) -> list[tuple]:
+        """The adoption entries (:meth:`_Block.entries`) of every field but ``grad`` at ``turn``."""
+        entries = []
+        for b in self._blocks:
+            last = b.updates[turn], b.update_views[turn]
+            if b.projected:
+                entries += b.entries(self.params, "value", b.value, b.views["value"])
+                entries += b.entries(self.params, "anchor", b.anchor, b.views["anchor"])
+                entries += b.entries(self.params, "prev_unconstrained", *last)
+            else:
+                entries += b.entries(self.params, "value", *last)
+        return entries
 
     def projected_names(self) -> list[str]:
         return list(self.views)
@@ -478,21 +502,32 @@ class ProjectedOptimizer:
         """
         if not self._projected:
             return None
+        self._adopt(self._state_entries[self._turn])
         worst = -math.inf
         for b in self._projected:
-            b.adopt_state(self.params)
             self._set_radii(b)
             _, dist = row_displacement(b.value, b.anchor, out=b.scratch, scratch=b.scratch)
             dist -= b.radius
             worst = max(worst, float(dist.max()))
         return worst
 
+    @staticmethod
+    def _adopt(entries: list[tuple]) -> None:
+        """Copy in each entry's array that a param holds in place of its block view."""
+        for p, field, view, rows, layout, stale in entries:
+            arr = getattr(p, field)
+            if arr is view or arr is None:
+                continue
+            rows[...] = layout.to_2d(arr)
+            setattr(p, field, view)
+            if stale is not None:
+                stale.measured = False
+
     def _gather(self) -> None:
         """Check that every gradient is there, then adopt every array set from outside."""
         require_grads(self.params)
-        for b in self._blocks:
-            b.adopt_state(self.params)
-            b.adopt(self.params, "grad")
+        self._adopt(self._grad_entries)
+        self._adopt(self._state_entries[self._turn])
 
     def _hyper_gradients(self, b: _Block, grad: np.ndarray, w_tilde: np.ndarray,
                          names) -> dict[str, float]:
@@ -506,10 +541,14 @@ class ProjectedOptimizer:
             segments=[b.slices[name] for name in names], scratch=b.scratch)))
 
     def _base_step(self) -> list[np.ndarray]:
-        """Base-step every gathered block and measure each projected update; return the updates."""
+        """Base-step every gathered block into its spare buffer and measure each projected update.
+
+        Returns the updates.
+        """
+        spare = 1 - self._turn
         updates = []
         for b in self._blocks:
-            w_tilde = self.base.step(b.key, b.value, b.grad)
+            w_tilde = self.base.step(b.key, b.value, b.grad, out=b.updates[spare])
             if b.projected:
                 b.measured = False  # delta describes w_tilde until _store stores it
                 b.measure(w_tilde)
@@ -517,8 +556,12 @@ class ProjectedOptimizer:
         return updates
 
     def _set_radii(self, b: _Block) -> None:
-        for name, rows in b.slices.items():
-            b.radius[rows] = self.radius(name)
+        """Fill the rows of each member of ``b`` whose radius is not the one they hold."""
+        for i, (name, rows) in enumerate(b.slices.items()):
+            r = self.radius(name)
+            if r is not b.radii[i]:  # an unchanged radius is the same float object
+                b.radius[rows] = r
+                b.radii[i] = r
 
     def _project(self, b: _Block, w_tilde: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The measured update ``w_tilde`` of ``b`` projected at the current radii, into ``out``."""
@@ -530,12 +573,13 @@ class ProjectedOptimizer:
         for b, w_tilde in zip(self._blocks, updates):
             if b.projected:
                 self._project(b, w_tilde, out=b.value)
-                b.bind(self.params, "prev_unconstrained", w_tilde)
+                b.prev_unconstrained = w_tilde
                 b.measured = True
             else:
-                b.bind(self.params, "value", w_tilde)
-        for p in self.params.values():
-            p.grad = None
+                b.value = w_tilde
+        self._turn = 1 - self._turn
+        for p, field, view in self._bound[self._turn]:
+            setattr(p, field, view)
 
 
 class FtpOptimizer(ProjectedOptimizer):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -87,3 +88,65 @@ class TestRowValidation:
         rec = sample_record()
         mat = rec.gamma_matrix()
         assert mat == [[1e-8, 1e-8], [0.01, 0.02]]
+
+
+def old_csv(record):
+    """metrics.csv as the format was first written: each cell formatted on its own."""
+    def cell(value):
+        if isinstance(value, bool):
+            raise DomainError("boolean cells are not part of the record format")
+        return str(value) if isinstance(value, int) else repr(float(value))
+
+    lines = [",".join(record.columns())]
+    lines += [",".join(cell(v) for v in row) for row in record.rows]
+    return "\n".join(lines) + "\n"
+
+
+def old_json(record):
+    """metrics.json as the format was first written: json.dumps of the whole record."""
+    return json.dumps({"columns": list(record.columns()), "rows": [list(r) for r in record.rows],
+                       "summary": dict(record.summary)}, indent=2, sort_keys=True) + "\n"
+
+
+def odd_record():
+    rec = RunRecord(gamma_names=("a", "b.c"))
+    cells = [0.1 + 0.2, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324, -2.5e-8]
+    for t in range(1, 40):
+        rec.add_row(t, cells[t % 9], cells[(t + 3) % 9], t, 2 * t,
+                    {"a": cells[(t + 5) % 9], "b.c": cells[t * 7 % 9]})
+    rec.summary = {"id": 0.5, "nested": {"z": [1, math.nan]}, "final_loss": None, "s": "x"}
+    return rec
+
+
+class TestSameBytesAsTheFirstFormat:
+    @pytest.mark.parametrize("make", [odd_record, sample_record, RunRecord,
+                                      lambda: RunRecord(gamma_names=("g",), summary={"k": 1})])
+    def test_csv_and_json_bytes(self, tmp_path, make):
+        rec = make()
+        emit_metrics(rec, "csv", tmp_path / "m.csv")
+        emit_metrics(rec, "json", tmp_path / "m.json")
+        assert (tmp_path / "m.csv").read_bytes() == old_csv(rec).encode("utf-8")
+        assert (tmp_path / "m.json").read_bytes() == old_json(rec).encode("utf-8")
+
+    def test_rows_added_or_replaced_after_an_emit_are_written(self, tmp_path):
+        rec = odd_record()
+        emit_metrics(rec, "csv", tmp_path / "m.csv")
+        rec.add_row(99, 1.5, 0.0, 1, 1, {"a": 2.0, "b.c": math.nan})
+        rec.rows[3] = (4, -1.0, 0.0, 4, 8, 0.25, math.inf)
+        emit_metrics(rec, "csv", tmp_path / "m.csv")
+        emit_metrics(rec, "json", tmp_path / "m.json")
+        assert (tmp_path / "m.csv").read_text() == old_csv(rec)
+        assert (tmp_path / "m.json").read_text() == old_json(rec)
+        del rec.rows[5:]
+        emit_metrics(rec, "json", tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_text() == old_json(rec)
+
+    def test_cells_are_coerced_to_float_and_booleans_rejected(self, tmp_path):
+        rec = RunRecord(rows=[(1, 2, 0.5, 1, 1)])
+        rec.rows.append((2, "0.25", 0.5, 2, 2))
+        emit_metrics(rec, "csv", tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text().splitlines()[2] == "2,0.25,0.5,2,2"
+        rec.rows.append((3, True, 0.5, 3, 3))
+        for fmt in ("csv", "json"):
+            with pytest.raises(DomainError):
+                emit_metrics(rec, fmt, tmp_path / f"m.{fmt}")

@@ -295,6 +295,27 @@ class TestResume:
                 b = load_checkpoint(tmp_path / f"{tag}-resumed" / "state.ckpt")
                 assert_same_checkpoint(a, b)
 
+    def test_resumed_run_draws_the_uninterrupted_batches(self, tmp_path, monkeypatch):
+        import projtune.bench.run as run_module
+
+        drawn = []
+        original = run_module.draw_batch
+
+        def recording(rng, split, batch_size):
+            batch = original(rng, split, batch_size)
+            drawn.append((batch.inputs.tobytes(), batch.targets.tobytes()))
+            return batch
+
+        monkeypatch.setattr(run_module, "draw_batch", recording)
+        # TPGM draws a training batch and two validation batches per iteration
+        kw = dict(method="tpgm", tpgm_inner_iters=2, epochs=4)
+        run_experiment(tiny_config(tmp_path, "full", checkpoint_every=5, **kw))
+        full, drawn[:] = list(drawn), []
+        run_experiment(tiny_config(tmp_path, "resumed", **kw),
+                       resume=tmp_path / "full" / "ckpt_iter5.ckpt")
+        assert len(full) > len(drawn) > 0
+        assert drawn == full[-len(drawn):]
+
     @pytest.mark.parametrize("change", [
         {"method": "mars-sp"}, {"seed": 1}, {"base": "adamw"}, {"method": "hyper-sgd"},
         {"exclude_set": ("layer0.weight",)},

@@ -255,6 +255,65 @@ def test_cached_steps_match_uncached_reference(method, base_kind, event):
         assert opt.constraint_excess() == full_excess(shadow, ref)
 
 
+@pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
+@pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp"])
+def test_a_radius_set_from_outside_reaches_the_next_projection_and_check(method, base_kind):
+    params, grads_at = smooth_problem(9)
+    ref = clone(params)
+    ref_base = make_base(base_kind)
+    opt = build(method, params, make_base(base_kind), grads_at)
+    shadow = build(method, ref, ref_base, grads_at)
+    for t in range(1, 10):
+        if t in (4, 7):
+            # a tighter, then a looser radius for w, as a user or a restore sets it
+            for o in (opt, shadow):
+                if method == "mars-sp":
+                    o.fixed_gammas["w"] = 0.02 if t == 4 else 0.6
+                else:
+                    o.gammas["w"].gamma = 0.02 if t == 4 else 0.6
+            assert opt.constraint_excess() == full_excess(shadow, ref)
+        assign_grads(method, t, params, grads_at, into=opt.grad_views)
+        assign_grads(method, t, ref, grads_at)
+        if method == "tpgm":
+            opt.step([0.5, -1.5])
+            reference_step(method, ref, ref_base, shadow)
+        else:
+            opt.step()
+            if method == "ftp":
+                reference_step(method, ref, ref_base, shadow)
+            else:
+                reference_base_step(ref, ref_base, shadow.views, shadow.radius)
+        assert_same_state(params, ref, opt, shadow.gammas, ref_base)
+        assert opt.constraint_excess() == full_excess(shadow, ref)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nesterov", "sgd-decay", "nesterov-decay",
+                                  "adamw", "adamw-decay"])
+def test_a_base_step_into_out_gives_the_same_bits(kind):
+    def base():
+        if kind.startswith("adamw"):
+            return AdamW(lr=0.05, weight_decay=0.1 if "decay" in kind else 0.0)
+        return Sgd(lr=0.3, momentum=0.0 if kind.startswith("sgd") else 0.9,
+                   nesterov=kind.startswith("nesterov"),
+                   weight_decay=0.1 if "decay" in kind else 0.0)
+
+    rng = SeededRng(13)
+    fresh, into = base(), base()
+    value = value_into = rng.derive(0).normal((5, 3))
+    buffers = [np.full((5, 3), np.nan), np.full((5, 3), np.nan)]
+    for t in range(6):
+        grad = rng.derive(1, t).normal((5, 3))
+        value = fresh.step("w", value, grad)
+        out = buffers[t % 2]
+        assert into.step("w", value_into, grad, out=out) is out
+        value_into = out
+        assert value_into.tobytes() == value.tobytes(), t
+    state, state_into = fresh.get_state(), into.get_state()
+    assert state.keys() == state_into.keys()
+    for key, arr in state.pop("tensors").items():
+        assert arr.tobytes() == state_into["tensors"][key].tobytes(), key
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.3, np.inf])
 def test_mars_sp_constraint_excess_is_a_full_measurement(gamma):
     params, grads_at = smooth_problem(3)

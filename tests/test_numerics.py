@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from projtune.errors import DomainError
-from projtune.numerics import SeededRng, mars_norm, row_l1_distances, sample_normal
+from projtune.numerics import SeededRng, mars_norm
+from projtune.projection import row_displacement
 
 finite_matrices = arrays(
     np.float64,
@@ -33,7 +34,7 @@ class TestMarsNorm:
 
     @given(finite_matrices)
     def test_cross_check_against_row_distances(self, w):
-        assert mars_norm(w) == row_l1_distances(w, np.zeros_like(w)).max()
+        assert mars_norm(w) == row_displacement(w, np.zeros_like(w))[1].max()
 
     @given(finite_matrices, st.floats(-100, 100, allow_nan=False))
     def test_absolute_homogeneity(self, w, c):
@@ -48,27 +49,10 @@ class TestMarsNorm:
         assert mars_norm(a + b) <= mars_norm(a) + mars_norm(b) + 1e-9
 
 
-class TestRowL1Distances:
-    def test_hand_example(self):
-        np.testing.assert_allclose(row_l1_distances([[3.0, -4.0]], [[0.0, 0.0]]), [7.0])
-
-    def test_identical_matrices(self):
-        a = SeededRng(0).normal((4, 3))
-        np.testing.assert_array_equal(row_l1_distances(a, a), np.zeros(4))
-
-    def test_second_hand_example(self):
-        got = row_l1_distances([[1.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
-        np.testing.assert_allclose(got, [2.0, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            row_l1_distances(np.zeros((2, 2)), np.zeros((2, 3)))
-
-
 class TestSeededRng:
     def test_same_seed_bit_identical(self):
-        a = sample_normal(SeededRng(99), 5, 4)
-        b = sample_normal(SeededRng(99), 5, 4)
+        a = SeededRng(99).normal((5, 4))
+        b = SeededRng(99).normal((5, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_different_streams_differ(self):
@@ -83,27 +67,65 @@ class TestSeededRng:
         np.testing.assert_array_equal(a, b)
 
     def test_zero_stddev_all_mean(self):
-        m = sample_normal(SeededRng(1), 3, 3, mean=2.5, stddev=0.0)
+        m = SeededRng(1).normal((3, 3), mean=2.5, stddev=0.0)
         np.testing.assert_array_equal(m, np.full((3, 3), 2.5))
 
     def test_negative_stddev_rejected(self):
         with pytest.raises(DomainError):
-            sample_normal(SeededRng(1), 2, 2, stddev=-1.0)
+            SeededRng(1).normal((2, 2), stddev=-1.0)
 
     def test_large_sample_moments(self):
-        x = sample_normal(SeededRng(2024), 1000, 100)
+        x = SeededRng(2024).normal((1000, 100))
         assert abs(x.mean()) < 0.02
         assert abs(x.var() - 1.0) < 0.05
 
-    def test_state_roundtrip_through_json(self):
-        import json
-
-        r = SeededRng(11)
-        r.normal((4, 4))
-        state = json.loads(json.dumps(r.get_state()))
-        r2 = SeededRng(11)
-        r2.set_state(state)
-        np.testing.assert_array_equal(r.normal((5,)), r2.normal((5,)))
-
     def test_outputs_are_float64(self):
-        assert sample_normal(SeededRng(3), 2, 2).dtype == np.float64
+        assert SeededRng(3).normal((2, 2)).dtype == np.float64
+
+
+def drawn(rng):
+    """What a stream gives through ``choice``, ``normal`` and ``permutation``, as bytes."""
+    return (rng.choice(40, 16, replace=False).tobytes() + rng.normal((2, 3)).tobytes()
+            + rng.permutation(12).tobytes())
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 3, 2**32 + 1, 2**40 + 5])
+    def test_key_built_streams_equal_derived_ones(self, seed):
+        root = SeededRng(seed)
+        counters = range(1, 2001)
+        for tag in (101, 103):
+            for t, rng in zip(counters, root.streams(tag, counters), strict=True):
+                assert rng.stream == (tag, t)
+                assert drawn(rng) == drawn(root.derive(tag, t)), (tag, t)
+        for t, rngs in zip(counters, root.streams(102, counters, width=3), strict=True):
+            assert [drawn(r) for r in rngs] == [drawn(root.derive(102, t, j)) for j in range(3)]
+
+    def test_a_child_stream_keys_from_its_own_stream(self):
+        child = SeededRng(7).derive(4, 2)
+        [rng] = child.streams(9, range(5, 6))
+        assert drawn(rng) == drawn(child.derive(9, 5))
+
+    @pytest.mark.parametrize("start", [2, 1024, 1025, 1500])
+    def test_a_resumed_counter_range_continues_the_full_one(self, start):
+        root = SeededRng(11)
+        full = [drawn(r) for r in root.streams(101, range(1, 2101))]
+        assert [drawn(r) for r in root.streams(101, range(start, 2101))] == full[start - 1:]
+
+    @pytest.mark.parametrize("counters", [range(2**32 - 2, 2**32 + 2), range(2**40, 2**40 + 2)])
+    def test_counters_past_32_bits_draw_the_derived_stream(self, counters):
+        root = SeededRng(5)
+        assert [drawn(r) for r in root.streams(101, counters)] == \
+            [drawn(root.derive(101, t)) for t in counters]
+        assert [[drawn(r) for r in rngs] for rngs in root.streams(102, counters, width=2)] == \
+            [[drawn(root.derive(102, t, j)) for j in range(2)] for t in counters]
+
+    def test_zero_width_gives_empty_lists(self):
+        assert list(SeededRng(1).streams(102, range(1, 4), width=0)) == [[], [], []]
+
+    def test_a_key_is_given_only_as_philox_asks_for_it(self):
+        from projtune.numerics import _PhiloxKey
+
+        key = _PhiloxKey(np.array([1, 2], dtype=np.uint64))
+        with pytest.raises(TypeError):
+            key.generate_state(4)
