@@ -24,6 +24,7 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4   # SeedSequence's default, and Philox's key is four uint32 words
 # counters hashed per batch, which bounds the keys held at once
 _KEY_CHUNK = 1024
 
@@ -72,22 +73,23 @@ def _stream_keys(seed: int, prefix: tuple[int, ...], words: np.ndarray) -> np.nd
     hash. The hash of the prefix is numpy's own; the rest is the same uint32
     arithmetic on every row at once. Returns an (n, 2) uint64 array.
     """
-    seq = np.random.SeedSequence(seed, spawn_key=prefix)
-    n_entropy = max(_n_words(seed), seq.pool_size) + sum(_n_words(s) for s in prefix)
-    # mixing n entropy words into the pool takes 4 * n hashmix calls
-    const = _INIT_A * pow(_MULT_A, 4 * n_entropy, 1 << 32) & _MASK32
+    seq = np.random.SeedSequence(seed, spawn_key=prefix, pool_size=_POOL_SIZE)
+    n_entropy = max(_n_words(seed), _POOL_SIZE) + sum(_n_words(s) for s in prefix)
+    # mixing n entropy words into the pool takes n hashmix calls per pool word
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_entropy, 1 << 32) & _MASK32
     pool = np.repeat(seq.pool[None, :], len(words), axis=0)
     for column in words.T:
-        for i in range(seq.pool_size):
+        for i in range(_POOL_SIZE):
             hashed, const = _hashmix(column, const)
             mixed = pool[:, i] * np.uint32(_MIX_L)
             mixed -= hashed * np.uint32(_MIX_R)
             mixed ^= mixed >> np.uint32(16)
             pool[:, i] = mixed
-    # generate_state(2, np.uint64): four uint32 words, read as two little-endian uint64
+    # generate_state(2, np.uint64): one uint32 word per pool word, read as two
+    # little-endian uint64
     state = np.empty_like(pool)
     const = _INIT_B
-    for i in range(seq.pool_size):
+    for i in range(_POOL_SIZE):
         state[:, i] = pool[:, i] ^ np.uint32(const)
         const = const * _MULT_B & _MASK32
         state[:, i] *= np.uint32(const)
