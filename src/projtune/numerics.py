@@ -119,7 +119,8 @@ class SeededRng:
     yields the same sample sequence on every platform. ``derive`` creates an
     independent child stream from integer tags, which is how the benchmark
     draws per-iteration batches without carrying mutable RNG state between
-    checkpoints.
+    checkpoints; ``streams`` gives the children of a run of counters and
+    hashes their keys together.
     """
 
     def __init__(self, seed: int, stream: tuple[int, ...] = ()):

@@ -80,6 +80,14 @@ def parent_checkout(args):
         shutil.rmtree(tree, ignore_errors=True)
 
 
+def dump(bench: dict) -> str:
+    """``bench`` as the earlier ``BENCH_*.json`` files hold it: one line per entry and per run."""
+    head = [f" {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+            for key, value in bench.items() if key != "runs"]
+    runs = ",\n".join(f"  {json.dumps(run, sort_keys=True)}" for run in bench["runs"])
+    return "{\n" + ",\n".join(head) + ',\n "runs": [\n' + runs + "\n ]\n}\n"
+
+
 def run_side(tree: Path, args, seed: int) -> tuple[dict, dict]:
     """One perfbench run from ``tree``: its JSON result line and the machine facts it printed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
@@ -126,8 +134,7 @@ def main(argv=None) -> int:
                 print(f"{args.set} seed {seed} {side}: correct={result['correct']} "
                       f"failed={result['failed']} finetune_steps_per_s={metric}", flush=True)
                 # written after every run, so an interrupted set keeps what it measured
-                out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
-                               encoding="utf-8")
+                out.write_text(dump(bench), encoding="utf-8")
     return 0
 
 
