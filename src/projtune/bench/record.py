@@ -102,6 +102,7 @@ def _to_json_text(record: RunRecord) -> str:
                        "summary": dict(record.summary)}, indent=2, sort_keys=True)
     lines = record.row_lines()
     if lines:
+        # of the cells, only nan, inf and -inf hold an "n"
         rows = "\n    ],\n    [\n      ".join(
             (",".join(_JSON_NONFINITE.get(c, c) for c in line.split(","))
              if "n" in line else line).replace(",", ",\n      ")

@@ -106,7 +106,7 @@ class _PhiloxKey(ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != len(self.key) or dtype is not np.uint64:
+        if n_words != len(self.key) or np.dtype(dtype) != np.uint64:
             raise TypeError(f"a stream key holds {len(self.key)} uint64 words, "
                             f"not {n_words} of {dtype}")
         return self.key
