@@ -9,6 +9,8 @@ linear probing).
 
 from __future__ import annotations
 
+import copy
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,12 +38,28 @@ __all__ = [
     "MarsSpOptimizer",
     "Sgd",
     "TpgmOptimizer",
+    "begins_step",
     "freeze_mask",
     "l2_sp_grad",
     "make_base_optimizer",
     "wise_interpolate",
     "wise_interpolate_params",
 ]
+
+def begins_step(rows: slice) -> bool:
+    """Whether a base step of the row range ``rows`` begins a step.
+
+    A base optimizer may step a tensor's rows in ranges: one step calls
+    ``step`` once per range, in order from row 0, so the range that starts at
+    row 0 begins the step (it creates missing buffers and advances counts).
+    Each range then updates only its own rows of every buffer.
+    """
+    return not rows.start
+
+
+def _rows_of(out, rows: slice):
+    """``out[rows]``, or ``out`` itself when it is None or ``rows`` covers it."""
+    return out if out is None or rows == slice(None) else out[rows]
 
 
 class Sgd:
@@ -65,22 +83,35 @@ class Sgd:
         self.weight_decay = float(weight_decay)
         self.nesterov = bool(nesterov)
         self.velocity: dict[str, np.ndarray] = {}
+        # whether each key's buffer was created by the step in progress
+        self._fresh: dict[str, bool] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
-        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
+             rows: slice = slice(None)) -> np.ndarray:
+        """The stepped ``value[rows]``, in ``out[rows]`` (``out`` must not overlap ``value``) if given.
+
+        A step split into row ranges (:func:`begins_step`) gives the bits of one
+        whole-array step.
+        """
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
+        if self.momentum and begins_step(rows):
+            fresh = name not in self.velocity
+            if fresh:
+                self.velocity[name] = np.empty(value.shape)
+            self._fresh[name] = fresh
+        value, grad = value[rows], grad[rows]
         g = grad + self.weight_decay * value if self.weight_decay else grad
         if self.momentum:
-            buf = self.velocity.get(name)
-            if buf is None:
-                buf = self.velocity[name] = g.astype(np.float64, copy=True)
+            buf = self.velocity[name][rows]
+            if self._fresh[name]:
+                np.copyto(buf, g)
             else:
                 buf *= self.momentum
                 buf += g
             g = g + self.momentum * buf if self.nesterov else buf
         # value - lr * g, computed in one array
-        out = np.multiply(g, self.lr, out=out)
+        out = np.multiply(g, self.lr, out=_rows_of(out, rows))
         return np.subtract(value, out, out=out)
 
     def get_state(self) -> dict:
@@ -112,36 +143,51 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
+        # whether each key's m and v were created by the step in progress
+        self._fresh: dict[str, tuple[bool, bool]] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
-        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
+             rows: slice = slice(None)) -> np.ndarray:
+        """The stepped ``value[rows]``, in ``out[rows]`` (``out`` must not overlap ``value``) if given.
+
+        A step split into row ranges (:func:`begins_step`) gives the bits of one
+        whole-array step; its first range advances the step count.
+        """
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
+        if begins_step(rows):
+            self.t[name] = self.t.get(name, 0) + 1
+            fresh = name not in self.m, name not in self.v
+            for moments, new in zip((self.m, self.v), fresh):
+                if new:
+                    moments[name] = np.empty(value.shape)
+            self._fresh[name] = fresh
+        t = self.t[name]
+        fresh_m, fresh_v = self._fresh[name]
+        value, grad = value[rows], grad[rows]
         w = value * (1.0 - self.lr * self.weight_decay) if self.weight_decay else value
-        t = self.t.get(name, 0) + 1
-        self.t[name] = t
         # the moments advance in place, in the operation order of
         # beta1 * m + (1 - beta1) * grad and beta2 * v + (1 - beta2) * grad * grad
-        m = self.m.get(name)
-        if m is None:
-            m = self.m[name] = (1.0 - self.beta1) * grad
+        m = self.m[name][rows]
+        if fresh_m:
+            np.multiply(1.0 - self.beta1, grad, out=m)
         else:
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
-        v = self.v.get(name)
+        v = self.v[name][rows]
         scaled = np.multiply(grad, 1.0 - self.beta2)
         scaled *= grad
-        if v is None:
-            self.v[name] = v = scaled
+        if fresh_v:
+            np.copyto(v, scaled)
         else:
             v *= self.beta2
             v += scaled
         # w - lr * m_hat / (sqrt(v_hat) + eps): the same operations on each
         # element, in two buffers instead of five temporaries
-        den = np.divide(v, 1.0 - self.beta2 ** t)
+        den = np.divide(v, 1.0 - self.beta2 ** t, out=scaled)
         np.sqrt(den, out=den)
         den += self.eps
-        out = np.divide(m, 1.0 - self.beta1 ** t, out=out)
+        out = np.divide(m, 1.0 - self.beta1 ** t, out=_rows_of(out, rows))
         out *= self.lr
         out /= den
         return np.subtract(w, out, out=out)
@@ -182,7 +228,8 @@ class BaseOnlyOptimizer(ProjectedOptimizer):
 
     def step(self) -> None:
         self._gather()
-        self._store(self._base_step())
+        self._base_step()
+        self._commit()
 
 
 class MarsSpOptimizer(ProjectedOptimizer):
@@ -219,7 +266,8 @@ class MarsSpOptimizer(ProjectedOptimizer):
 
     def step(self) -> None:
         self._gather()
-        self._store(self._base_step())
+        self._base_step()
+        self._commit()
 
 
 class TpgmOptimizer(ProjectedOptimizer):
@@ -230,7 +278,8 @@ class TpgmOptimizer(ProjectedOptimizer):
     weights with the current radii, evaluates the validation gradient there
     (one extra forward+backward), chains it through the projection, and
     applies an Adam step to every radius. The final radii then project the
-    unconstrained weights into place.
+    unconstrained weights into place. The probe of each projected block
+    lives in its own array, which the validation gradient then overwrites.
     """
 
     def __init__(
@@ -255,34 +304,54 @@ class TpgmOptimizer(ProjectedOptimizer):
                              eps=eps)
             for name in self.views
         }
+        self._probes = [np.empty_like(b.value) for b in self._projected]
+        # per turn of the updates: the weights each inner iteration evaluates
+        self._probe_views = tuple(
+            {name: view for b in self._blocks if not b.projected
+             for name, view in b.update_views[turn].items()}
+            | {name: view for b, probe in zip(self._projected, self._probes)
+               for name, view in b.views_of(probe).items()}
+            for turn in (0, 1))
 
     def step(self, val_batches: Sequence[Batch]) -> None:
-        """One training step consuming ``inner_iters`` validation batches."""
+        """One training step consuming ``inner_iters`` validation batches.
+
+        Each inner iteration takes every radius gradient, and checks it,
+        before any radius moves, and a failed step puts back the radii that
+        earlier inner iterations moved. The base optimizer's buffers (SGD's
+        velocity, AdamW's moments and step counts) have already advanced
+        when it raises.
+        """
         if len(val_batches) < self.inner_iters:
             raise ConfigError(
                 f"need {self.inner_iters} validation batches, got {len(val_batches)}"
             )
         self._gather()
-        updates = self._base_step()
-        for batch in val_batches[:self.inner_iters]:
-            probe = {}
-            for b, w_tilde in zip(self._blocks, updates):
-                if b.projected:
-                    self._project(b, w_tilde, out=b.scratch)
-                    probe.update(b.views["scratch"])
-                else:
-                    probe.update(b.update_views[1 - self._turn])
-            _, val_grads = self.grad_fn(probe, batch)
-            raw = {}
-            for b, w_tilde in zip(self._blocks, updates):
-                if not b.projected:
-                    continue
-                # the probe in scratch is spent: the gradient takes its place
-                grad = b.fill(b.scratch, val_grads)
-                raw.update(self._hyper_gradients(b, grad, w_tilde, b.slices))
-            for name, gs in self.gammas.items():
-                adam_update_gamma(gs, raw[name])
-        self._store(updates)
+        self._base_step(project=False)
+        spare = 1 - self._turn
+        before = [(gs, copy.copy(gs)) for gs in self.gammas.values()]
+        try:
+            for batch in val_batches[:self.inner_iters]:
+                for b, probe in zip(self._projected, self._probes):
+                    self._project(b, b.updates[spare], out=probe)
+                _, val_grads = self.grad_fn(self._probe_views[spare], batch)
+                raw = {}
+                for b, probe in zip(self._projected, self._probes):
+                    # the probe is spent: the gradient takes its place
+                    grad = b.fill(probe, val_grads)
+                    raw.update(self._hyper_gradients(b, grad, b.updates[spare], b.slices))
+                bad = [name for name, g in raw.items() if not math.isfinite(g)]
+                if bad:
+                    raise DomainError(f"non-finite constraint gradient for {bad}")
+                for name, gs in self.gammas.items():
+                    adam_update_gamma(gs, raw[name])
+        except BaseException:
+            for gs, saved in before:
+                vars(gs).update(vars(saved))
+            raise
+        for b in self._projected:
+            self._project(b, b.updates[spare], out=b.value)
+        self._commit()
 
 
 def l2_sp_grad(param: np.ndarray, anchor: np.ndarray, lam: float) -> np.ndarray:

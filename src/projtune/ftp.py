@@ -39,6 +39,7 @@ __all__ = [
     "GammaState",
     "ManagedParam",
     "ProjectedOptimizer",
+    "STRIP_BYTES",
     "adam_update_gamma",
     "anneal_gradient",
     "hyper_gradient",
@@ -51,6 +52,10 @@ __all__ = [
 
 # Constraints start effectively closed: the first step can barely leave the anchor.
 GAMMA_INIT = 1e-8
+
+# Bytes of one array's strip (:class:`_Block`): 64 rows of 512 float64. A few
+# arrays' strips, stepped together, fit a 2 MB L2 cache.
+STRIP_BYTES = 256 * 1024
 
 
 @dataclass
@@ -202,8 +207,10 @@ def hyper_gradient(
     stacked: ``gamma`` may give one radius per row, and the result is a list
     with one derivative per segment, each summed over that segment's own
     rows (a masked or zero-padded sum would add in another order and give
-    other bits). ``scratch``, shaped like ``grad``, receives the products
-    ``grad * delta``; it may be ``grad`` itself.
+    other bits). ``scratch``, as wide as ``grad`` and at most as tall,
+    receives the products ``grad * delta`` as many rows at a time as it has,
+    so a strip of rows is summed while it is in cache; it may be ``grad``
+    itself. Row sums are per row, so every strip height gives the same bits.
     """
     if prev_unconstrained is None:
         raise StateError("no cached unconstrained weights; run a step first")
@@ -216,7 +223,13 @@ def hyper_gradient(
         )
     delta, dist = resolve_displacement(wt, w0, delta, dist)
     active = (dist > gamma) & (dist >= eps_div)
-    num = np.multiply(g, delta, out=scratch).sum(axis=1)
+    num = np.empty(len(g))
+    height = len(g) if scratch is None else len(scratch)
+    for start in range(0, len(g), height):
+        rows = slice(start, start + height)
+        part = num[rows]
+        products = None if scratch is None else scratch[:len(part)]
+        np.multiply(g[rows], delta[rows], out=products).sum(axis=1, out=part)
     ratio = np.divide(num, dist, out=num, where=active)
     sums = [float(ratio[rows][active[rows]].sum())
             for rows in ([slice(None)] if segments is None else segments)]
@@ -275,20 +288,27 @@ class _Block:
     and ``slices`` to its rows; ``views`` maps a field to each member's view
     of the block's array of that name.
 
+    A step runs through the block in ``strips``, runs of rows of about
+    :data:`STRIP_BYTES` per array: the base step, the measurement and the
+    projection of one strip all run before the next strip starts, so each
+    strip is reused while it sits in cache. A block no larger than that is
+    one strip. Every result is row-wise or summed per row, so the strips
+    give the bits of whole-block passes.
+
     The base step writes each update into the other of the two ``updates``
     buffers, whose member views (``update_views``) are built once. The last
     update is a projected block's ``prev_unconstrained`` and the unprojected
     block's ``value``; a projected block projects it into its own ``value``.
     ``delta``, ``dist`` and ``measured`` cache the
     :func:`~projtune.projection.row_displacement` of ``prev_unconstrained``
-    from ``anchor``; ``scratch`` holds temporaries that never leave a step,
-    ``radius`` each row's projection radius and ``radii`` the radius each
-    member's rows were last set to.
+    from ``anchor``; ``scratch``, one strip tall, holds temporaries that
+    never leave a strip, ``radius`` each row's projection radius and
+    ``radii`` the radius each member's rows were last set to.
     """
 
-    __slots__ = ("key", "layout", "slices", "projected", "value", "grad", "anchor", "updates",
-                 "update_views", "views", "prev_unconstrained", "delta", "dist", "scratch",
-                 "radius", "radii", "measured")
+    __slots__ = ("key", "layout", "slices", "strips", "projected", "value", "grad", "anchor",
+                 "updates", "update_views", "views", "prev_unconstrained", "delta", "dist",
+                 "scratch", "radius", "radii", "measured")
 
     def __init__(self, key: str, layout: list[ProjectionView], projected: bool):
         self.key = key
@@ -298,8 +318,11 @@ class _Block:
         for view in layout:
             self.slices[view.name] = slice(rows, rows + view.rows)
             rows += view.rows
+        cols = layout[0].cols
+        height = max(1, STRIP_BYTES // (8 * cols))
+        self.strips = [slice(start, min(start + height, rows)) for start in range(0, rows, height)]
         self.projected = projected
-        shape = (rows, layout[0].cols)
+        shape = (rows, cols)
         self.grad = np.zeros(shape)
         self.updates = (np.zeros(shape), np.zeros(shape))
         self.update_views = tuple(self.views_of(u) for u in self.updates)
@@ -310,12 +333,11 @@ class _Block:
             self.anchor = np.zeros(shape)
             self.prev_unconstrained = self.updates[0]
             self.delta = np.empty(shape)
-            self.dist = None
-            self.scratch = np.empty(shape)
+            self.dist = np.empty(rows)
+            self.scratch = np.empty((min(height, rows), cols))
             self.radius = np.empty(rows)
             self.radii: list = [None] * len(layout)
-            self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor),
-                              scratch=self.views_of(self.scratch))
+            self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor))
         else:
             self.value = self.updates[0]
 
@@ -341,34 +363,43 @@ class _Block:
         return [(params[name], field, views[name], arr[rows], self.layout[name], stale)
                 for name, rows in self.slices.items()]
 
-    def measure(self, w_tilde: np.ndarray) -> None:
-        """Put the displacement of ``w_tilde`` from the anchor in ``delta`` and ``dist``."""
-        self.dist = row_displacement(w_tilde, self.anchor, out=self.delta, scratch=self.scratch)[1]
+    def measure(self, w_tilde: np.ndarray, rows: slice, scratch=None) -> None:
+        """Put the displacement of ``w_tilde[rows]`` from the anchor in ``delta`` and ``dist``.
+
+        ``|delta|`` goes into ``scratch``, by default the block's own.
+        """
+        if scratch is None:
+            scratch = self.scratch[:rows.stop - rows.start]
+        self.dist[rows] = row_displacement(w_tilde[rows], self.anchor[rows], out=self.delta[rows],
+                                           scratch=scratch)[1]
 
 
 class ProjectedOptimizer:
     """A base optimizer whose updates are projected onto per-tensor MARS balls.
 
-    ``base`` is any object with ``step(key, value, grad, out=) -> out``, which
-    writes the stepped value into ``out``, and a ``get_state``/``set_state``
-    pair (e.g. :class:`projtune.baselines.Sgd`), whose state is this
-    optimizer's state. Every tensor that is projectable and not in
-    ``exclude_set`` is projected around its anchor; the rest receive only
-    the base step, bit-identically to running it standalone.
+    ``base`` is any object with ``step(key, value, grad, out=, rows=)``,
+    which writes the stepped ``value[rows]`` into ``out[rows]`` and steps a
+    key's rows in ranges as :func:`projtune.baselines.begins_step` says, and
+    a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
+    whose state is this optimizer's state. Every tensor that is projectable
+    and not in ``exclude_set`` is projected around its anchor; the rest
+    receive only the base step, bit-identically to running it standalone.
 
     The tensors live in blocks (:class:`_Block`): one per row width of the
     projected tensors, and one column for all the rest. The base step, the
     measurement of each update, the hyper-gradient, the projection and the
-    constraint check run once per block. Every row-wise result is the same
-    bits as per tensor, and each tensor's scalar sums run over its own rows.
-    The base optimizer sees one key per block; :meth:`get_state` and
-    :meth:`set_state` speak per tensor.
+    constraint check run once per block, in strips of rows: once the radii
+    are set, each strip is base-stepped, measured and projected before the
+    next one, and the hyper-gradient and the check sum their rows a strip at
+    a time. Every row-wise result is the same bits as per tensor, and each
+    tensor's scalar sums run over its own rows. The base optimizer sees one
+    key per block; :meth:`get_state` and :meth:`set_state` speak per tensor.
 
     Subclasses differ only in how they choose each tensor's radius. Their
     ``step`` checks the gradients and adopts the params' arrays
-    (:meth:`_gather`), base-steps every block (:meth:`_base_step`), sets the
-    radii (learned ones live in ``gammas``; :meth:`radius` reads them) and
-    projects the updates into place (:meth:`_store`).
+    (:meth:`_gather`), sets the radii (learned ones live in ``gammas``;
+    :meth:`radius` reads them), base-steps and projects every block
+    (:meth:`_base_step`) and puts the updates in place (:meth:`_commit`).
     """
 
     def __init__(self, params: dict[str, ManagedParam], base, exclude_set: Iterable[str] = ()):
@@ -506,9 +537,13 @@ class ProjectedOptimizer:
         worst = -math.inf
         for b in self._projected:
             self._set_radii(b)
-            _, dist = row_displacement(b.value, b.anchor, out=b.scratch, scratch=b.scratch)
-            dist -= b.radius
-            worst = max(worst, float(dist.max()))
+            # last strip first: a step ends there, so it may still be in cache
+            for rows in reversed(b.strips):
+                scratch = b.scratch[:rows.stop - rows.start]
+                _, dist = row_displacement(b.value[rows], b.anchor[rows], out=scratch,
+                                           scratch=scratch)
+                dist -= b.radius[rows]
+                worst = max(worst, float(dist.max()))
         return worst
 
     @staticmethod
@@ -540,20 +575,30 @@ class ProjectedOptimizer:
             grad, w_tilde, b.anchor, b.radius, delta=b.delta, dist=b.dist,
             segments=[b.slices[name] for name in names], scratch=b.scratch)))
 
-    def _base_step(self) -> list[np.ndarray]:
-        """Base-step every gathered block into its spare buffer and measure each projected update.
+    def _base_step(self, project: bool = True) -> None:
+        """Base-step every gathered block into its spare buffer, strip by strip.
 
-        Returns the updates.
+        Each strip of a projected block is measured right after its base
+        step and, with ``project``, projected into ``value`` at the current
+        radii.
         """
         spare = 1 - self._turn
-        updates = []
         for b in self._blocks:
-            w_tilde = self.base.step(b.key, b.value, b.grad, out=b.updates[spare])
+            w_tilde = b.updates[spare]
             if b.projected:
-                b.measured = False  # delta describes w_tilde until _store stores it
-                b.measure(w_tilde)
-            updates.append(w_tilde)
-        return updates
+                b.measured = False  # delta describes w_tilde until _commit stores it
+                self._set_radii(b)
+            for rows in b.strips:
+                self.base.step(b.key, b.value, b.grad, out=w_tilde, rows=rows)
+                if not b.projected:
+                    continue
+                if project:
+                    # the base step has read the strip's value, which the projection
+                    # overwrites: |delta| is summed there, in rows already in cache
+                    b.measure(w_tilde, rows, scratch=b.value[rows])
+                    self._project_strip(b, w_tilde, rows, out=b.value)
+                else:
+                    b.measure(w_tilde, rows)
 
     def _set_radii(self, b: _Block) -> None:
         """Fill the rows of each member of ``b`` whose radius is not the one they hold."""
@@ -563,21 +608,27 @@ class ProjectedOptimizer:
                 b.radius[rows] = r
                 b.radii[i] = r
 
-    def _project(self, b: _Block, w_tilde: np.ndarray, out: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _project_strip(b: _Block, w_tilde: np.ndarray, rows: slice, out: np.ndarray) -> None:
+        """Project the measured strip ``rows`` of ``w_tilde`` at the rows' radii into ``out``."""
+        project_rows(w_tilde[rows], b.anchor[rows], b.radius[rows], delta=b.delta[rows],
+                     dist=b.dist[rows], out=out[rows])
+
+    def _project(self, b: _Block, w_tilde: np.ndarray, out: np.ndarray) -> None:
         """The measured update ``w_tilde`` of ``b`` projected at the current radii, into ``out``."""
         self._set_radii(b)
-        return project_rows(w_tilde, b.anchor, b.radius, delta=b.delta, dist=b.dist, out=out)
+        for rows in b.strips:
+            self._project_strip(b, w_tilde, rows, out)
 
-    def _store(self, updates: list[np.ndarray]) -> None:
-        """Put every update in place, projected where it is measured, and consume the gradients."""
-        for b, w_tilde in zip(self._blocks, updates):
+    def _commit(self) -> None:
+        """Make the updates of :meth:`_base_step` the params' arrays and consume the gradients."""
+        self._turn = 1 - self._turn
+        for b in self._blocks:
             if b.projected:
-                self._project(b, w_tilde, out=b.value)
-                b.prev_unconstrained = w_tilde
+                b.prev_unconstrained = b.updates[self._turn]
                 b.measured = True
             else:
-                b.value = w_tilde
-        self._turn = 1 - self._turn
+                b.value = b.updates[self._turn]
         for p, field, view in self._bound[self._turn]:
             setattr(p, field, view)
 
@@ -622,7 +673,8 @@ class FtpOptimizer(ProjectedOptimizer):
             if not live:
                 continue
             if not b.measured:
-                b.measure(b.prev_unconstrained)
+                for rows in b.strips:
+                    b.measure(b.prev_unconstrained, rows)
                 b.measured = True
             for name, raw in self._hyper_gradients(b, b.grad, b.prev_unconstrained,
                                                     live).items():
@@ -632,4 +684,5 @@ class FtpOptimizer(ProjectedOptimizer):
             raise DomainError(f"non-finite constraint gradient for {bad}")
         for name, g in grads.items():
             adam_update_gamma(self.gammas[name], g)
-        self._store(self._base_step())
+        self._base_step()
+        self._commit()

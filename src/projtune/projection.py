@@ -150,9 +150,21 @@ def project_rows(
         return out
     if shrunk == len(shrink):
         return np.add(np.multiply(factor[:, None], delta, out=out), w0, out=out)
-    # every row computed in place and the kept rows copied back over theirs:
-    # the same bits as rescaling only the shrunk rows, without gathering them
-    out = np.multiply(np.minimum(factor, 1.0)[:, None], delta, out=out)
-    out += w0
-    np.copyto(out, wt, where=~shrink[:, None])
+    # each row is computed with the same operations whichever rows are
+    # gathered, so the rarer kind of row is the one handled apart
+    if 2 * shrunk >= len(shrink):
+        # every row rescaled in place, the kept ones copied back over theirs
+        out = np.multiply(np.minimum(factor, 1.0)[:, None], delta, out=out)
+        out += w0
+        kept = np.flatnonzero(~shrink)
+        out[kept] = wt[kept]
+        return out
+    rows = np.flatnonzero(shrink)
+    scaled = np.multiply(factor[rows, None], delta[rows])
+    scaled += w0[rows]
+    if out is None:
+        out = wt.copy()
+    else:
+        np.copyto(out, wt)
+    out[rows] = scaled
     return out

@@ -2,11 +2,12 @@
 
 FTP, TPGM, MARS-SP and base-only fine-tuning keep their tensors in one block
 per row width and run the base step, the measurement of each update, the
-hyper-gradient, the projection and the constraint check once per block.
-These tests hold that path to the public functions called tensor by tensor
-without cached arrays, bit for bit, including after the state the blocks
-hold has been replaced from outside: an anchor rebase, arrays set as a
-checkpoint restore sets them, and a resume into a fresh optimizer.
+hyper-gradient, the projection and the constraint check once per block, in
+strips of rows. These tests hold that path to the public functions called
+tensor by tensor without cached arrays, bit for bit, for blocks of one strip
+and of several, including after the state the blocks hold has been replaced
+from outside: an anchor rebase, arrays set as a checkpoint restore sets
+them, and a resume into a fresh optimizer.
 """
 
 from dataclasses import asdict
@@ -28,6 +29,7 @@ from projtune.baselines import (
 )
 from projtune.errors import DomainError, StateError
 from projtune.ftp import (
+    STRIP_BYTES,
     FtpOptimizer,
     GammaState,
     adam_update_gamma,
@@ -41,19 +43,34 @@ from projtune.projection import canonicalize, project_rows, row_displacement
 
 # widths 4 (w and b share a block), 8 (conv) and 6 (head)
 SHAPES = {"w": (6, 4), "b": (4,), "conv": (3, 2, 2, 2), "head": (2, 6)}
+# the same roles in blocks of several strips, each ending in a shorter one:
+# w and b 38 rows of width 2048, conv 11 rows of width 4096, and head (or,
+# with nothing projected, every tensor) in the column of unprojected tensors
+WIDE_SHAPES = {"w": (37, 2048), "b": (2048,), "conv": (11, 2, 32, 64), "head": (21, 2048)}
+# Per-element gradients shrunk with the rows widened. AdamW moves every
+# element by about its learning rate whatever the gradient, so rows wider
+# than the ball leave it at once; rows with no pull stay, a third of w's and
+# two thirds of conv's, so strips hold both kinds of row.
+WIDE_SCALE = 1 / 2048
+WIDE_STILL = {"w": np.arange(37) % 3 == 0, "conv": np.arange(11) % 3 != 0}
 MARS_GAMMA = 0.3
 L2_SP_LAMBDA = 0.5
 
 
-def smooth_problem(seed):
-    """Managed params plus the gradient of sum(C * sin(W)), a smooth loss of every tensor."""
+def smooth_problem(seed, shapes=SHAPES, scale=1.0, still=None):
+    """Managed params plus the gradient of sum(C * sin(W)), a smooth loss of every tensor.
+
+    The rows ``still`` marks, a boolean row mask per tensor, have no gradient.
+    """
     rng = SeededRng(seed)
-    values = {n: rng.derive(0, i).normal(s, stddev=0.5) for i, (n, s) in enumerate(SHAPES.items())}
+    values = {n: rng.derive(0, i).normal(s, stddev=0.5) for i, (n, s) in enumerate(shapes.items())}
     # rows pulled with strengths spread over two decades: some leave the ball, some stay
     coef = {}
-    for i, (n, s) in enumerate(SHAPES.items()):
-        strength = np.geomspace(0.03, 3.0, s[0]).reshape((-1,) + (1,) * (len(s) - 1))
-        coef[n] = rng.derive(1, i).normal(s) * strength
+    for i, (n, s) in enumerate(shapes.items()):
+        strength = np.geomspace(0.03, 3.0, s[0]) * scale
+        if still and n in still:
+            strength[still[n]] = 0.0
+        coef[n] = rng.derive(1, i).normal(s) * strength.reshape((-1,) + (1,) * (len(s) - 1))
 
     def grads_at(vals, scale=1.0):
         return {n: scale * coef[n] * np.cos(v) for n, v in vals.items()}
@@ -221,17 +238,17 @@ def resume(method, params, opt, base_kind, grads_at):
     return fresh, again
 
 
-@pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
-@pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp", "ft", "linear-probe", "lp-ft",
-                                    "l2-sp"])
-@pytest.mark.parametrize("event", ["none", "rebase", "restore", "resume"])
-def test_cached_steps_match_uncached_reference(method, base_kind, event):
-    params, grads_at = smooth_problem(7)
+def step_with_reference(method, base_kind, event, params, grads_at, steps=12):
+    """Step ``method`` and its tensor-by-tensor reference; compare every array after each step.
+
+    ``event`` happens before step 7: an anchor rebase, a restore of moved
+    arrays, a resume into a fresh optimizer, or nothing.
+    """
     ref = clone(params)
     ref_base = make_base(base_kind)
     opt = build(method, params, make_base(base_kind), grads_at)
     shadow = build(method, ref, ref_base, grads_at)
-    for t in range(1, 13):
+    for t in range(1, steps + 1):
         if t == 7 and event == "rebase":
             if method == "ftp":
                 opt.rebase_anchor()
@@ -253,6 +270,41 @@ def test_cached_steps_match_uncached_reference(method, base_kind, event):
         reference_step(method, ref, ref_base, shadow)
         assert_same_state(params, ref, opt, shadow.gammas, ref_base)
         assert opt.constraint_excess() == full_excess(shadow, ref)
+
+
+@pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
+@pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp", "ft", "linear-probe", "lp-ft",
+                                    "l2-sp"])
+@pytest.mark.parametrize("event", ["none", "rebase", "restore", "resume"])
+def test_cached_steps_match_uncached_reference(method, base_kind, event):
+    params, grads_at = smooth_problem(7)
+    step_with_reference(method, base_kind, event, params, grads_at)
+
+
+def strip_heights(shapes):
+    """Row count and strip height of each block :class:`ProjectedOptimizer` makes of ``shapes``."""
+    blocks = {}
+    for name, shape in shapes.items():
+        view = canonicalize(np.zeros(shape))
+        blocks[view.cols] = blocks.get(view.cols, 0) + view.rows
+    return {cols: (rows, max(1, STRIP_BYTES // (8 * cols))) for cols, rows in blocks.items()}
+
+
+def test_the_wide_shapes_make_blocks_of_several_strips_with_a_shorter_last_one():
+    projected = {n: s for n, s in WIDE_SHAPES.items() if n != "head"}
+    # the column of unprojected tensors: head alone, or every tensor
+    columns = [int(np.prod(WIDE_SHAPES["head"])), sum(int(np.prod(s)) for s in WIDE_SHAPES.values())]
+    for rows, height in [*strip_heights(projected).values(),
+                         *((rows, STRIP_BYTES // 8) for rows in columns)]:
+        assert rows > height and rows % height, (rows, height)
+
+
+@pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
+@pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp", "ft"])
+@pytest.mark.parametrize("event", ["none", "restore", "resume"])
+def test_blocks_of_several_strips_match_uncached_reference(method, base_kind, event):
+    params, grads_at = smooth_problem(17, WIDE_SHAPES, WIDE_SCALE, WIDE_STILL)
+    step_with_reference(method, base_kind, event, params, grads_at, steps=9)
 
 
 @pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
@@ -312,6 +364,78 @@ def test_a_base_step_into_out_gives_the_same_bits(kind):
     assert state.keys() == state_into.keys()
     for key, arr in state.pop("tensors").items():
         assert arr.tobytes() == state_into["tensors"][key].tobytes(), key
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nesterov", "sgd-decay", "nesterov-decay",
+                                  "adamw", "adamw-decay"])
+def test_a_step_in_row_ranges_gives_the_whole_array_bits(kind):
+    def base():
+        if kind.startswith("adamw"):
+            return AdamW(lr=0.05, weight_decay=0.1 if "decay" in kind else 0.0)
+        return Sgd(lr=0.3, momentum=0.0 if kind.startswith("sgd") else 0.9,
+                   nesterov=kind.startswith("nesterov"),
+                   weight_decay=0.1 if "decay" in kind else 0.0)
+
+    rng = SeededRng(19)
+    whole, ranged = base(), base()
+    value = value_ranged = rng.derive(0).normal((10, 3))
+    # the first step, which creates the buffers, and every other one go in ranges
+    ranges = [slice(0, 4), slice(4, 8), slice(8, 10)]
+    for t in range(6):
+        grad = rng.derive(1, t).normal((10, 3))
+        value = whole.step("w", value, grad)
+        out = np.full((10, 3), np.nan)
+        for rows in (ranges if t % 2 == 0 else [slice(None)]):
+            stepped = ranged.step("w", value_ranged, grad, out=out, rows=rows)
+            assert np.shares_memory(stepped, out[rows]) and stepped.shape == out[rows].shape
+        value_ranged = out
+        assert value_ranged.tobytes() == value.tobytes(), t
+    state, state_ranged = whole.get_state(), ranged.get_state()
+    tensors, tensors_ranged = state.pop("tensors"), state_ranged.pop("tensors")
+    assert state == state_ranged
+    if kind.startswith("adamw"):
+        assert state_ranged["t_counts"] == {"w": 6}
+    assert tensors.keys() == tensors_ranged.keys()
+    for key, arr in tensors.items():
+        assert arr.tobytes() == tensors_ranged[key].tobytes(), key
+
+
+@pytest.mark.parametrize("inner_iters", [1, 2])
+def test_a_failed_tpgm_step_moves_no_radius_and_no_weight(inner_iters):
+    params, grads_at = smooth_problem(6)
+    evaluations = []
+
+    def grad_fn(values, batch):
+        evaluations.append(batch)
+        grads = grads_at(values, 0.5 if batch == "bad" else batch)
+        if batch == "bad":
+            grads["b"] = np.full(grads["b"].shape, np.nan)
+        return 0.0, grads
+
+    opt = TpgmOptimizer(params, Sgd(lr=0.3, momentum=0.9), grad_fn, inner_iters=inner_iters,
+                        exclude_set=["head"], gamma_init=0.05)
+    for t in range(1, 4):
+        assign_grads("tpgm", t, params, grads_at)
+        opt.step([0.5] * inner_iters)
+    gammas = {n: asdict(g) for n, g in opt.gammas.items()}
+    values = {n: p.value.copy() for n, p in params.items()}
+    velocity = {k: v.copy() for k, v in opt.get_state()["tensors"].items()}
+    assign_grads("tpgm", 4, params, grads_at)
+    # w, whose radius is updated first, has a finite gradient in every inner iteration
+    with pytest.raises(DomainError, match="non-finite") as failure:
+        opt.step([0.5] * (inner_iters - 1) + ["bad"])
+    assert evaluations[-1] == "bad"
+    assert {n: asdict(g) for n, g in opt.gammas.items()} == gammas
+    assert "'b'" in str(failure.value)
+    for name, p in params.items():
+        assert p.value.tobytes() == values[name].tobytes(), name
+    # documented: the base optimizer's buffers have advanced
+    after = opt.get_state()["tensors"]
+    assert all(after[k].tobytes() != v.tobytes() for k, v in velocity.items())
+    # the next step projects at the radii as they were before the failed one
+    assign_grads("tpgm", 4, params, grads_at)
+    opt.step([0.5] * inner_iters)
+    assert opt.constraint_excess() == full_excess(opt, params)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, np.inf])

@@ -6,7 +6,9 @@ Usage, from the repository root::
 
 Each configuration fine-tunes the default 8-16-16-4 model with a checkpoint
 every 5 iterations, then resumes a second run from the middle one of those
-checkpoints. For both runs it hashes ``metrics.csv`` and ``metrics.json``
+checkpoints. The ``-wide`` configurations fine-tune an 8-512-512-4 model
+instead, whose 518-row block of width 512 steps in several strips; they have
+a seed of their own, because configurations of one seed share its anchor. For both runs it hashes ``metrics.csv`` and ``metrics.json``
 without their wall-clock column ``secs_per_iter``, ``summary.json``, every
 ``.ckpt`` file, and the outputs of ``projtune evaluate`` and ``projtune audit``
 of the final ``state.ckpt``. Each line reads ``<configuration> <file> <sha256>``.
@@ -43,6 +45,7 @@ pretrain.epochs = 2
 
 METHODS = ("ft", "linear-probe", "lp-ft", "l2-sp", "mars-sp", "tpgm", "ftp", "hyper-sgd")
 ADAMW = {"base": "adamw", "lr": "0.01"}
+WIDE = {"model.hidden": "512,512", "seed": "11"}
 
 # configuration name -> overrides of BASE_CONFIG
 CONFIGURATIONS: dict[str, dict[str, str]] = {
@@ -55,6 +58,8 @@ CONFIGURATIONS: dict[str, dict[str, str]] = {
     "tpgm-inner2-sgd": {"method": "tpgm", "tpgm.inner_iters": "2"},
     "tpgm-inner2-adamw": {"method": "tpgm", "tpgm.inner_iters": "2", **ADAMW},
     "ftp-seed3": {"method": "ftp", "seed": "3"},
+    "ftp-adamw-wide": {"method": "ftp", **ADAMW, **WIDE},
+    "tpgm-sgd-wide": {"method": "tpgm", **WIDE},
 }
 
 WALL_CLOCK = "secs_per_iter"
