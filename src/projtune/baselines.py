@@ -9,9 +9,8 @@ linear probing).
 
 from __future__ import annotations
 
-import copy
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -46,20 +45,20 @@ __all__ = [
     "wise_interpolate_params",
 ]
 
-def begins_step(rows: slice) -> bool:
-    """Whether a base step of the row range ``rows`` begins a step.
+def begins_step(rows: Optional[slice]) -> bool:
+    """Whether a base step of the row range ``rows`` (None: every row) begins a step.
 
     A base optimizer may step a tensor's rows in ranges: one step calls
     ``step`` once per range, in order from row 0, so the range that starts at
     row 0 begins the step (it creates missing buffers and advances counts).
     Each range then updates only its own rows of every buffer.
     """
-    return not rows.start
+    return rows is None or not rows.start
 
 
-def _rows_of(out, rows: slice):
-    """``out[rows]``, or ``out`` itself when it is None or ``rows`` covers it."""
-    return out if out is None or rows == slice(None) else out[rows]
+def _row_range(rows: slice, *arrays):
+    """The rows ``rows`` of each of ``arrays``; None stays None."""
+    return tuple(None if arr is None else arr[rows] for arr in arrays)
 
 
 class Sgd:
@@ -87,11 +86,12 @@ class Sgd:
         self._fresh: dict[str, bool] = {}
 
     def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
-             rows: slice = slice(None)) -> np.ndarray:
-        """The stepped ``value[rows]``, in ``out[rows]`` (``out`` must not overlap ``value``) if given.
+             rows: Optional[slice] = None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given.
 
-        A step split into row ranges (:func:`begins_step`) gives the bits of one
-        whole-array step.
+        With ``rows``, only those rows are stepped and returned (in
+        ``out[rows]``). A step split into row ranges (:func:`begins_step`)
+        gives the bits of one whole-array step.
         """
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
@@ -100,10 +100,13 @@ class Sgd:
             if fresh:
                 self.velocity[name] = np.empty(value.shape)
             self._fresh[name] = fresh
-        value, grad = value[rows], grad[rows]
+        if rows is not None:
+            value, grad, out = _row_range(rows, value, grad, out)
         g = grad + self.weight_decay * value if self.weight_decay else grad
         if self.momentum:
-            buf = self.velocity[name][rows]
+            buf = self.velocity[name]
+            if rows is not None:
+                buf = buf[rows]
             if self._fresh[name]:
                 np.copyto(buf, g)
             else:
@@ -111,7 +114,7 @@ class Sgd:
                 buf += g
             g = g + self.momentum * buf if self.nesterov else buf
         # value - lr * g, computed in one array
-        out = np.multiply(g, self.lr, out=_rows_of(out, rows))
+        out = np.multiply(g, self.lr, out=out)
         return np.subtract(value, out, out=out)
 
     def get_state(self) -> dict:
@@ -147,11 +150,13 @@ class AdamW:
         self._fresh: dict[str, tuple[bool, bool]] = {}
 
     def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
-             rows: slice = slice(None)) -> np.ndarray:
-        """The stepped ``value[rows]``, in ``out[rows]`` (``out`` must not overlap ``value``) if given.
+             rows: Optional[slice] = None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given.
 
-        A step split into row ranges (:func:`begins_step`) gives the bits of one
-        whole-array step; its first range advances the step count.
+        With ``rows``, only those rows are stepped and returned (in
+        ``out[rows]``). A step split into row ranges (:func:`begins_step`)
+        gives the bits of one whole-array step; its first range advances the
+        step count.
         """
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
@@ -164,17 +169,17 @@ class AdamW:
             self._fresh[name] = fresh
         t = self.t[name]
         fresh_m, fresh_v = self._fresh[name]
-        value, grad = value[rows], grad[rows]
+        m, v = self.m[name], self.v[name]
+        if rows is not None:
+            value, grad, out, m, v = _row_range(rows, value, grad, out, m, v)
         w = value * (1.0 - self.lr * self.weight_decay) if self.weight_decay else value
         # the moments advance in place, in the operation order of
         # beta1 * m + (1 - beta1) * grad and beta2 * v + (1 - beta2) * grad * grad
-        m = self.m[name][rows]
         if fresh_m:
             np.multiply(1.0 - self.beta1, grad, out=m)
         else:
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
-        v = self.v[name][rows]
         scaled = np.multiply(grad, 1.0 - self.beta2)
         scaled *= grad
         if fresh_v:
@@ -187,7 +192,7 @@ class AdamW:
         den = np.divide(v, 1.0 - self.beta2 ** t, out=scaled)
         np.sqrt(den, out=den)
         den += self.eps
-        out = np.divide(m, 1.0 - self.beta1 ** t, out=_rows_of(out, rows))
+        out = np.divide(m, 1.0 - self.beta1 ** t, out=out)
         out *= self.lr
         out /= den
         return np.subtract(w, out, out=out)
@@ -305,6 +310,8 @@ class TpgmOptimizer(ProjectedOptimizer):
             for name in self.views
         }
         self._probes = [np.empty_like(b.value) for b in self._projected]
+        self._probe_strips = [b.cut(probe) for b, probe in zip(self._projected, self._probes)]
+        self._value_strips = [b.cut(b.value) for b in self._projected]
         # per turn of the updates: the weights each inner iteration evaluates
         self._probe_views = tuple(
             {name: view for b in self._blocks if not b.projected
@@ -329,11 +336,12 @@ class TpgmOptimizer(ProjectedOptimizer):
         self._gather()
         self._base_step(project=False)
         spare = 1 - self._turn
-        before = [(gs, copy.copy(gs)) for gs in self.gammas.values()]
+        # what adam_update_gamma moves, to put back if the step fails
+        before = [(gs, gs.gamma, gs.m, gs.v, gs.t) for gs in self.gammas.values()]
         try:
             for batch in val_batches[:self.inner_iters]:
-                for b, probe in zip(self._projected, self._probes):
-                    self._project(b, b.updates[spare], out=probe)
+                for b, strips in zip(self._projected, self._probe_strips):
+                    self._project(b, spare, strips)
                 _, val_grads = self.grad_fn(self._probe_views[spare], batch)
                 raw = {}
                 for b, probe in zip(self._projected, self._probes):
@@ -346,11 +354,11 @@ class TpgmOptimizer(ProjectedOptimizer):
                 for name, gs in self.gammas.items():
                     adam_update_gamma(gs, raw[name])
         except BaseException:
-            for gs, saved in before:
-                vars(gs).update(vars(saved))
+            for gs, gamma, m, v, t in before:
+                gs.gamma, gs.m, gs.v, gs.t = gamma, m, v, t
             raise
-        for b in self._projected:
-            self._project(b, b.updates[spare], out=b.value)
+        for b, strips in zip(self._projected, self._value_strips):
+            self._project(b, spare, strips)
         self._commit()
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -223,13 +223,14 @@ def hyper_gradient(
         )
     delta, dist = resolve_displacement(wt, w0, delta, dist)
     active = (dist > gamma) & (dist >= eps_div)
-    num = np.empty(len(g))
-    height = len(g) if scratch is None else len(scratch)
-    for start in range(0, len(g), height):
-        rows = slice(start, start + height)
-        part = num[rows]
-        products = None if scratch is None else scratch[:len(part)]
-        np.multiply(g[rows], delta[rows], out=products).sum(axis=1, out=part)
+    if scratch is None or len(scratch) == len(g):
+        num = np.multiply(g, delta, out=scratch).sum(axis=1)
+    else:
+        num = np.empty(len(g))
+        for start in range(0, len(g), len(scratch)):
+            part = num[start:start + len(scratch)]
+            rows = slice(start, start + len(part))
+            np.multiply(g[rows], delta[rows], out=scratch[:len(part)]).sum(axis=1, out=part)
     ratio = np.divide(num, dist, out=num, where=active)
     sums = [float(ratio[rows][active[rows]].sum())
             for rows in ([slice(None)] if segments is None else segments)]
@@ -279,6 +280,30 @@ def rebase_anchor(
         gs.reset(gamma_init)
 
 
+class _Strip(NamedTuple):
+    """One strip of a block: its rows and, in a projected block, its views of the arrays.
+
+    ``rows`` is the row range the base step takes, None when the strip is
+    the whole block. The views are built once with the block.
+    """
+
+    rows: Optional[slice]
+    value: Optional[np.ndarray] = None
+    anchor: Optional[np.ndarray] = None
+    delta: Optional[np.ndarray] = None
+    dist: Optional[np.ndarray] = None
+    radius: Optional[np.ndarray] = None
+    scratch: Optional[np.ndarray] = None
+    updates: tuple = ()
+
+    def measure(self, w_tilde: np.ndarray, scratch: np.ndarray) -> None:
+        """Put the displacement of the strip ``w_tilde`` in ``delta`` and ``dist``.
+
+        ``|delta|`` goes into ``scratch``.
+        """
+        row_displacement(w_tilde, self.anchor, out=self.delta, scratch=scratch, dist=self.dist)
+
+
 class _Block:
     """Tensors that step as one array, each a run of its rows.
 
@@ -288,12 +313,12 @@ class _Block:
     and ``slices`` to its rows; ``views`` maps a field to each member's view
     of the block's array of that name.
 
-    A step runs through the block in ``strips``, runs of rows of about
-    :data:`STRIP_BYTES` per array: the base step, the measurement and the
-    projection of one strip all run before the next strip starts, so each
-    strip is reused while it sits in cache. A block no larger than that is
-    one strip. Every result is row-wise or summed per row, so the strips
-    give the bits of whole-block passes.
+    A step runs through the block in ``strips`` (:class:`_Strip`), runs of
+    rows of about :data:`STRIP_BYTES` per array: the base step, the
+    measurement and the projection of one strip all run before the next
+    strip starts, so each strip is reused while it sits in cache. A block no
+    larger than that is one strip. Every result is row-wise or summed per
+    row, so the strips give the bits of whole-block passes.
 
     The base step writes each update into the other of the two ``updates``
     buffers, whose member views (``update_views``) are built once. The last
@@ -320,7 +345,7 @@ class _Block:
             rows += view.rows
         cols = layout[0].cols
         height = max(1, STRIP_BYTES // (8 * cols))
-        self.strips = [slice(start, min(start + height, rows)) for start in range(0, rows, height)]
+        bounds = [slice(start, min(start + height, rows)) for start in range(0, rows, height)]
         self.projected = projected
         shape = (rows, cols)
         self.grad = np.zeros(shape)
@@ -338,8 +363,19 @@ class _Block:
             self.radius = np.empty(rows)
             self.radii: list = [None] * len(layout)
             self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor))
+            self.strips = [
+                _Strip(None if len(bounds) == 1 else rows,
+                       *(arr[rows] for arr in (self.value, self.anchor, self.delta, self.dist,
+                                               self.radius)),
+                       self.scratch[:rows.stop - rows.start], tuple(u[rows] for u in self.updates))
+                for rows in bounds]
         else:
             self.value = self.updates[0]
+            self.strips = [_Strip(None if len(bounds) == 1 else rows) for rows in bounds]
+
+    def cut(self, arr: np.ndarray) -> list[np.ndarray]:
+        """The block-shaped ``arr`` cut into its strips."""
+        return [arr if strip.rows is None else arr[strip.rows] for strip in self.strips]
 
     def views_of(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Each member's rows of the block-shaped ``arr``, in the member's shape."""
@@ -363,15 +399,10 @@ class _Block:
         return [(params[name], field, views[name], arr[rows], self.layout[name], stale)
                 for name, rows in self.slices.items()]
 
-    def measure(self, w_tilde: np.ndarray, rows: slice, scratch=None) -> None:
-        """Put the displacement of ``w_tilde[rows]`` from the anchor in ``delta`` and ``dist``.
-
-        ``|delta|`` goes into ``scratch``, by default the block's own.
-        """
-        if scratch is None:
-            scratch = self.scratch[:rows.stop - rows.start]
-        self.dist[rows] = row_displacement(w_tilde[rows], self.anchor[rows], out=self.delta[rows],
-                                           scratch=scratch)[1]
+    def measure(self, turn: int) -> None:
+        """Measure the update in ``updates[turn]``, strip by strip, into ``delta`` and ``dist``."""
+        for strip in self.strips:
+            strip.measure(strip.updates[turn], strip.scratch)
 
 
 class ProjectedOptimizer:
@@ -538,11 +569,10 @@ class ProjectedOptimizer:
         for b in self._projected:
             self._set_radii(b)
             # last strip first: a step ends there, so it may still be in cache
-            for rows in reversed(b.strips):
-                scratch = b.scratch[:rows.stop - rows.start]
-                _, dist = row_displacement(b.value[rows], b.anchor[rows], out=scratch,
-                                           scratch=scratch)
-                dist -= b.radius[rows]
+            for strip in reversed(b.strips):
+                _, dist = row_displacement(strip.value, strip.anchor, out=strip.scratch,
+                                           scratch=strip.scratch)
+                dist -= strip.radius
                 worst = max(worst, float(dist.max()))
         return worst
 
@@ -588,17 +618,17 @@ class ProjectedOptimizer:
             if b.projected:
                 b.measured = False  # delta describes w_tilde until _commit stores it
                 self._set_radii(b)
-            for rows in b.strips:
-                self.base.step(b.key, b.value, b.grad, out=w_tilde, rows=rows)
+            for strip in b.strips:
+                self.base.step(b.key, b.value, b.grad, out=w_tilde, rows=strip.rows)
                 if not b.projected:
                     continue
                 if project:
                     # the base step has read the strip's value, which the projection
                     # overwrites: |delta| is summed there, in rows already in cache
-                    b.measure(w_tilde, rows, scratch=b.value[rows])
-                    self._project_strip(b, w_tilde, rows, out=b.value)
+                    strip.measure(strip.updates[spare], strip.value)
+                    self._project_strip(strip, spare, strip.value)
                 else:
-                    b.measure(w_tilde, rows)
+                    strip.measure(strip.updates[spare], strip.scratch)
 
     def _set_radii(self, b: _Block) -> None:
         """Fill the rows of each member of ``b`` whose radius is not the one they hold."""
@@ -609,16 +639,19 @@ class ProjectedOptimizer:
                 b.radii[i] = r
 
     @staticmethod
-    def _project_strip(b: _Block, w_tilde: np.ndarray, rows: slice, out: np.ndarray) -> None:
-        """Project the measured strip ``rows`` of ``w_tilde`` at the rows' radii into ``out``."""
-        project_rows(w_tilde[rows], b.anchor[rows], b.radius[rows], delta=b.delta[rows],
-                     dist=b.dist[rows], out=out[rows])
+    def _project_strip(strip: _Strip, turn: int, out: np.ndarray) -> None:
+        """Project the strip's measured update in ``updates[turn]`` at its radii into ``out``."""
+        project_rows(strip.updates[turn], strip.anchor, strip.radius, delta=strip.delta,
+                     dist=strip.dist, out=out)
 
-    def _project(self, b: _Block, w_tilde: np.ndarray, out: np.ndarray) -> None:
-        """The measured update ``w_tilde`` of ``b`` projected at the current radii, into ``out``."""
+    def _project(self, b: _Block, turn: int, outs: list[np.ndarray]) -> None:
+        """Project the measured update in ``b.updates[turn]`` at the current radii into ``outs``.
+
+        ``outs`` holds one array per strip (:meth:`_Block.cut`).
+        """
         self._set_radii(b)
-        for rows in b.strips:
-            self._project_strip(b, w_tilde, rows, out)
+        for strip, out in zip(b.strips, outs):
+            self._project_strip(strip, turn, out)
 
     def _commit(self) -> None:
         """Make the updates of :meth:`_base_step` the params' arrays and consume the gradients."""
@@ -673,8 +706,7 @@ class FtpOptimizer(ProjectedOptimizer):
             if not live:
                 continue
             if not b.measured:
-                for rows in b.strips:
-                    b.measure(b.prev_unconstrained, rows)
+                b.measure(self._turn)
                 b.measured = True
             for name, raw in self._hyper_gradients(b, b.grad, b.prev_unconstrained,
                                                     live).items():

@@ -36,6 +36,11 @@ __all__ = [
 # anchor (the constraint starts at 1e-8 with identical weights).
 EPS_DIV = 1e-12
 
+# Elements from which project_rows indexes rows instead of masking every row:
+# a masked copy took 1.5 us on 352 elements and 18.5 us on 32768, indexing
+# 4-5 us on either (float64, one core of a two-core KVM guest).
+INDEXED_ROWS_MIN_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ProjectionView:
@@ -84,17 +89,17 @@ def canonicalize(tensor, name: str = "") -> ProjectionView:
 
 
 def row_displacement(
-    w_tilde: np.ndarray, w_anchor: np.ndarray, *, out=None, scratch=None
+    w_tilde: np.ndarray, w_anchor: np.ndarray, *, out=None, scratch=None, dist=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(delta, dist)`` of a canonical 2-D update: ``w_tilde - w_anchor`` and its row L1 norms.
 
-    ``delta`` is written into ``out`` and ``|delta|`` into ``scratch`` when
-    they are given; ``scratch`` may be ``out`` itself, which then holds
-    ``|delta|``. Every consumer of the displacement computes it here, so
-    cached and recomputed values are the same bits.
+    ``delta`` is written into ``out``, ``|delta|`` into ``scratch`` and the
+    norms into ``dist`` when they are given; ``scratch`` may be ``out``
+    itself, which then holds ``|delta|``. Every consumer of the displacement
+    computes it here, so cached and recomputed values are the same bits.
     """
     delta = np.subtract(w_tilde, w_anchor, out=out)
-    return delta, np.abs(delta, out=scratch).sum(axis=1)
+    return delta, np.abs(delta, out=scratch).sum(axis=1, out=dist)
 
 
 def resolve_displacement(wt, w0, delta, dist) -> tuple[np.ndarray, np.ndarray]:
@@ -150,21 +155,28 @@ def project_rows(
         return out
     if shrunk == len(shrink):
         return np.add(np.multiply(factor[:, None], delta, out=out), w0, out=out)
-    # each row is computed with the same operations whichever rows are
-    # gathered, so the rarer kind of row is the one handled apart
-    if 2 * shrunk >= len(shrink):
-        # every row rescaled in place, the kept ones copied back over theirs
-        out = np.multiply(np.minimum(factor, 1.0)[:, None], delta, out=out)
-        out += w0
+    # Each row is computed with the same operations whichever rows are taken
+    # apart, so the choice changes no bits. In a large array, indexing rows
+    # costs less than a pass over every row: the rarer kind of row is handled
+    # apart. In a small one, a masked pass costs less than indexing.
+    indexed = wt.size >= INDEXED_ROWS_MIN_SIZE
+    if indexed and 2 * shrunk < len(shrink):
+        # every row copied, the shrunk ones rescaled and put over theirs
+        rows = np.flatnonzero(shrink)
+        scaled = np.multiply(factor[rows, None], delta[rows])
+        scaled += w0[rows]
+        if out is None:
+            out = wt.copy()
+        else:
+            np.copyto(out, wt)
+        out[rows] = scaled
+        return out
+    # every row rescaled in place, the kept ones copied back over theirs
+    out = np.multiply(np.minimum(factor, 1.0)[:, None], delta, out=out)
+    out += w0
+    if indexed:
         kept = np.flatnonzero(~shrink)
         out[kept] = wt[kept]
-        return out
-    rows = np.flatnonzero(shrink)
-    scaled = np.multiply(factor[rows, None], delta[rows])
-    scaled += w0[rows]
-    if out is None:
-        out = wt.copy()
     else:
-        np.copyto(out, wt)
-    out[rows] = scaled
+        np.copyto(out, wt, where=~shrink[:, None])
     return out

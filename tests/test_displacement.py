@@ -293,7 +293,8 @@ def strip_heights(shapes):
 def test_the_wide_shapes_make_blocks_of_several_strips_with_a_shorter_last_one():
     projected = {n: s for n, s in WIDE_SHAPES.items() if n != "head"}
     # the column of unprojected tensors: head alone, or every tensor
-    columns = [int(np.prod(WIDE_SHAPES["head"])), sum(int(np.prod(s)) for s in WIDE_SHAPES.values())]
+    columns = [int(np.prod(WIDE_SHAPES["head"])),
+               sum(int(np.prod(s)) for s in WIDE_SHAPES.values())]
     for rows, height in [*strip_heights(projected).values(),
                          *((rows, STRIP_BYTES // 8) for rows in columns)]:
         assert rows > height and rows % height, (rows, height)

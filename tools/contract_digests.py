@@ -8,7 +8,8 @@ Each configuration fine-tunes the default 8-16-16-4 model with a checkpoint
 every 5 iterations, then resumes a second run from the middle one of those
 checkpoints. The ``-wide`` configurations fine-tune an 8-512-512-4 model
 instead, whose 518-row block of width 512 steps in several strips; they have
-a seed of their own, because configurations of one seed share its anchor. For both runs it hashes ``metrics.csv`` and ``metrics.json``
+a seed of their own, because configurations of one seed share its anchor.
+For both runs it hashes ``metrics.csv`` and ``metrics.json``
 without their wall-clock column ``secs_per_iter``, ``summary.json``, every
 ``.ckpt`` file, and the outputs of ``projtune evaluate`` and ``projtune audit``
 of the final ``state.ckpt``. Each line reads ``<configuration> <file> <sha256>``.
