@@ -45,6 +45,7 @@ __all__ = [
     "wise_interpolate_params",
 ]
 
+
 def begins_step(rows: Optional[slice]) -> bool:
     """Whether a base step of the row range ``rows`` (None: every row) begins a step.
 
