@@ -84,6 +84,22 @@ class TestProjectRows:
         with pytest.raises(DomainError):
             project_rows(w, w0, np.where(radii == 2.0, np.nan, radii))
 
+    @pytest.mark.parametrize("rows, cols", [(6, 4), (64, 512)])
+    @pytest.mark.parametrize("shrunk_share", [0.1, 0.5, 0.9])
+    def test_mixed_rows_are_each_row_projected_alone(self, rows, cols, shrunk_share):
+        # small arrays copy the kept rows back through a mask, large ones by
+        # index, rescaling every row or only the shrunk ones
+        rng = SeededRng(6)
+        w, w0 = rng.normal((rows, cols)), rng.normal((rows, cols))
+        dist = np.abs(w - w0).sum(axis=1)
+        radii = np.where(rng.derive(1).uniform(rows) < shrunk_share, 0.5, 2.0) * dist
+        want = np.concatenate([project_rows(w[i:i + 1], w0[i:i + 1], r)
+                               for i, r in enumerate(radii)])
+        assert project_rows(w, w0, radii).tobytes() == want.tobytes()
+        out = np.full_like(w, np.nan)
+        assert project_rows(w, w0, radii, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
     def test_infinite_gamma_is_identity(self):
         rng = SeededRng(9)
         w, w0 = rng.normal((5, 5)), rng.normal((5, 5))
