@@ -364,14 +364,14 @@ class _Block:
             self.radii: list = [None] * len(layout)
             self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor))
             self.strips = [
-                _Strip(None if len(bounds) == 1 else rows,
-                       *(arr[rows] for arr in (self.value, self.anchor, self.delta, self.dist,
+                _Strip(None if len(bounds) == 1 else span,
+                       *(arr[span] for arr in (self.value, self.anchor, self.delta, self.dist,
                                                self.radius)),
-                       self.scratch[:rows.stop - rows.start], tuple(u[rows] for u in self.updates))
-                for rows in bounds]
+                       self.scratch[:span.stop - span.start], tuple(u[span] for u in self.updates))
+                for span in bounds]
         else:
             self.value = self.updates[0]
-            self.strips = [_Strip(None if len(bounds) == 1 else rows) for rows in bounds]
+            self.strips = [_Strip(None if len(bounds) == 1 else span) for span in bounds]
 
     def cut(self, arr: np.ndarray) -> list[np.ndarray]:
         """The block-shaped ``arr`` cut into its strips."""
