@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_every must be nonnegative")
         if self.wise_ratio is not None and not 0.0 <= self.wise_ratio <= 1.0:
             raise ConfigError(f"wise.ratio must lie in [0, 1], got {self.wise_ratio}")
+        if self.method == "hyper-sgd":
+            # HyperSgd learns its own rate from hyper.alpha0 and hyper.kappa
+            ignored = [k for k in _BASE_KEYS if getattr(self, k) != _FIELD_TYPES[k].default]
+            if ignored:
+                raise ConfigError(f"method hyper-sgd ignores {ignored}; leave them at their defaults")
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(
@@ -115,6 +120,8 @@ def _field_key(name: str) -> str:
 
 _KEY_TO_FIELD = {_field_key(f.name): f.name for f in fields(ExperimentConfig)}
 _FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+# the base optimizer's keys; every method but hyper-sgd reads them
+_BASE_KEYS = ("base", "lr", "momentum", "weight_decay", "nesterov")
 
 
 def _parse_value(field_name: str, raw: str):

@@ -11,6 +11,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -75,6 +76,19 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 LOSSES = ("softmax_ce", "mse")
 
 
+class _Layer(NamedTuple):
+    """One dense layer of a spec's plan.
+
+    ``act`` is the activation applied to the layer's output and ``dact`` its
+    derivative; both are None for the top layer, whose output feeds the loss.
+    """
+
+    weight: str
+    bias: str
+    act: Callable | None
+    dact: Callable | None
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Architecture description: layer widths, hidden activations, loss.
@@ -82,6 +96,11 @@ class MlpSpec:
     ``widths`` includes the input width, so ``len(widths) - 1`` weight
     matrices exist; ``activations`` has one entry per hidden layer (the final
     layer output feeds the loss directly).
+
+    Every pass runs from the spec's plan (``_layers``, ``_shapes``), built on
+    first use and kept with the spec: each layer's tensor names and shapes
+    and its activation with its derivative. A pass therefore formats no name
+    and looks up no activation.
     """
 
     widths: tuple[int, ...]
@@ -109,12 +128,21 @@ class MlpSpec:
     def n_layers(self) -> int:
         return len(self.widths) - 1
 
+    @cached_property
+    def _layers(self) -> tuple[_Layer, ...]:
+        fns = [ACTIVATIONS[a] for a in self.activations] + [(None, None)]
+        return tuple(_Layer(f"layer{i}.weight", f"layer{i}.bias", *fns[i])
+                     for i in range(self.n_layers))
+
+    @cached_property
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        """Every tensor's name -> shape, in ``layer_names`` order."""
+        w = self.widths
+        return {name: shape for i, layer in enumerate(self._layers)
+                for name, shape in ((layer.weight, (w[i + 1], w[i])), (layer.bias, (w[i + 1],)))}
+
     def layer_names(self) -> list[str]:
-        names = []
-        for i in range(self.n_layers):
-            names.append(f"layer{i}.weight")
-            names.append(f"layer{i}.bias")
-        return names
+        return list(self._shapes)
 
     def canonical(self) -> dict:
         return {
@@ -124,36 +152,22 @@ class MlpSpec:
         }
 
 
-def _activation_fns(spec: MlpSpec, layer: int) -> tuple[Callable, Callable]:
-    name = spec.activations[layer]
-    try:
-        return ACTIVATIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown activation {name!r}") from None
-
-
 def init_params(spec: MlpSpec, rng: SeededRng) -> NamedParams:
-    """He-style scaled Gaussian weights, zero biases."""
-    params: NamedParams = {}
-    for i in range(spec.n_layers):
-        fan_in, fan_out = spec.widths[i], spec.widths[i + 1]
-        scale = np.sqrt(2.0 / fan_in)
-        params[f"layer{i}.weight"] = rng.normal((fan_out, fan_in), stddev=scale)
-        params[f"layer{i}.bias"] = np.zeros(fan_out, dtype=np.float64)
-    return params
+    """He-style scaled Gaussian weights (two dimensions), zero biases (one)."""
+    return {name: rng.normal(shape, stddev=np.sqrt(2.0 / shape[1])) if len(shape) == 2
+            else np.zeros(shape, dtype=np.float64) for name, shape in spec._shapes.items()}
 
 
-def _check_params(spec: MlpSpec, params: NamedParams) -> None:
-    for i in range(spec.n_layers):
-        w = params.get(f"layer{i}.weight")
-        b = params.get(f"layer{i}.bias")
-        if w is None or b is None:
-            raise DomainError(f"missing tensors for layer{i}")
-        want_w = (spec.widths[i + 1], spec.widths[i])
-        if tuple(w.shape) != want_w or tuple(b.shape) != (spec.widths[i + 1],):
-            raise DomainError(
-                f"layer{i} shapes {w.shape}/{b.shape} do not match spec widths {spec.widths}"
-            )
+def _check_tensors(spec: MlpSpec, tensors: NamedParams, role: str, dtype=None) -> None:
+    """Every tensor of ``spec`` is in ``tensors`` with its shape (and ``dtype``, if given)."""
+    for name, shape in spec._shapes.items():
+        t = tensors.get(name)
+        if t is None:
+            raise DomainError(f"{role} has no {name}")
+        if t.shape != shape:
+            raise DomainError(f"{role} {name} has shape {t.shape}; spec {spec.widths} needs {shape}")
+        if dtype is not None and t.dtype != dtype:
+            raise DomainError(f"{role} {name} has dtype {t.dtype}, not {np.dtype(dtype)}")
 
 
 def _check_inputs(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.ndarray:
@@ -165,22 +179,18 @@ def _check_inputs(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.
         raise DomainError(
             f"input width {x.shape[1]} does not match first layer width {spec.widths[0]}"
         )
-    _check_params(spec, params)
+    _check_tensors(spec, params, "params")
     return x
 
 
 def _forward_trace(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping every layer's activation, the inputs first, for backprop."""
-    x = _check_inputs(spec, params, inputs)
-    acts = [x]
-    h = x
-    for i in range(spec.n_layers):
-        w = params[f"layer{i}.weight"]
-        b = params[f"layer{i}.bias"]
-        h = h @ w.T + b
-        if i < spec.n_layers - 1:
-            act, _ = _activation_fns(spec, i)
-            h = act(h, out=h)
+    h = _check_inputs(spec, params, inputs)
+    acts = [h]
+    for layer in spec._layers:
+        h = h @ params[layer.weight].T + params[layer.bias]
+        if layer.act is not None:
+            h = layer.act(h, out=h)
         acts.append(h)
     return acts
 
@@ -201,31 +211,40 @@ def forward(
     if work is None:
         work = {}
     h = x
-    last = spec.n_layers - 1
-    for i in range(last):
-        w = params[f"layer{i}.weight"]
+    *hidden, top = spec._layers
+    for i, layer in enumerate(hidden):
+        w = params[layer.weight]
         key = (x.shape[0], w.shape[0], i % 2)
         buf = work.get(key)
         if buf is None:
             buf = work[key] = np.empty((x.shape[0], w.shape[0]), dtype=np.float64)
         np.matmul(h, w.T, out=buf)
-        buf += params[f"layer{i}.bias"]
-        act, _ = _activation_fns(spec, i)
-        h = act(buf, out=buf)
-    return h @ params[f"layer{last}.weight"].T + params[f"layer{last}.bias"]
+        buf += params[layer.bias]
+        h = layer.act(buf, out=buf)
+    return h @ params[top.weight].T + params[top.bias]
+
+
+@lru_cache(maxsize=8)
+def _rows(n: int) -> np.ndarray:
+    """``np.arange(n)``, read-only, kept for the last few batch sizes."""
+    rows = np.arange(n)
+    rows.flags.writeable = False
+    return rows
 
 
 def _check_targets(spec: MlpSpec, outputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     n, k = outputs.shape
+    if n == 0:
+        raise DomainError("the loss of an empty batch is undefined")
     if spec.loss == "softmax_ce":
         t = np.asarray(targets)
-        if not np.issubdtype(t.dtype, np.integer):
+        if t.dtype.kind not in "iu":
             raise DomainError("softmax_ce expects integer class labels")
         if t.shape != (n,):
             raise DomainError(f"labels must have shape ({n},), got {t.shape}")
-        if t.size and (t.min() < 0 or t.max() >= k):
+        if np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= k:
             raise DomainError(f"labels must lie in [0, {k}), got range [{t.min()}, {t.max()}]")
-        return t.astype(np.int64)
+        return t
     t = np.asarray(targets, dtype=np.float64)
     if t.shape != outputs.shape:
         raise DomainError(f"mse targets must have shape {outputs.shape}, got {t.shape}")
@@ -233,25 +252,31 @@ def _check_targets(spec: MlpSpec, outputs: np.ndarray, targets: np.ndarray) -> n
 
 
 def _loss_and_delta(spec: MlpSpec, outputs: np.ndarray, targets: np.ndarray):
-    """Mean loss over the batch and d(loss)/d(outputs)."""
+    """Mean loss over the batch and d(loss)/d(outputs).
+
+    The reductions call ``np.add.reduce`` and ``np.maximum.reduce``, the
+    ufunc reductions behind ``ndarray.sum`` and ``ndarray.max``, without the
+    method wrappers.
+    """
     t = _check_targets(spec, outputs, targets)
     n = outputs.shape[0]
     if spec.loss == "softmax_ce":
-        shifted = outputs - outputs.max(axis=1, keepdims=True)
+        rows = _rows(n)
+        shifted = outputs - np.maximum.reduce(outputs, axis=1, keepdims=True)
         probs = np.exp(shifted)
-        sums = probs.sum(axis=1)
-        loss = float((np.log(sums) - shifted[np.arange(n), t]).sum() / n)
+        sums = np.add.reduce(probs, axis=1)
+        loss = float(np.add.reduce(np.log(sums) - shifted[rows, t]) / n)
         probs /= sums[:, None]
-        probs[np.arange(n), t] -= 1.0
+        probs[rows, t] -= 1.0
         probs /= n
         return loss, probs
     diff = outputs - t
-    loss = float((diff * diff).sum(axis=1).sum() / n)
+    loss = float(np.add.reduce(np.add.reduce(diff * diff, axis=1)) / n)
     return loss, 2.0 * diff / n
 
 
 def evaluate_loss(spec: MlpSpec, params: NamedParams, batch: Batch) -> float:
-    """Mean loss over the batch, forward pass only."""
+    """Mean loss over the batch, forward pass only; an empty batch is a ``DomainError``."""
     outputs = forward(spec, params, batch.inputs)
     loss, _ = _loss_and_delta(spec, outputs, batch.targets)
     return loss
@@ -262,21 +287,27 @@ def backward(
 ) -> tuple[float, NamedParams]:
     """Mean batch loss and analytic gradients for every named tensor.
 
-    With ``out``, a dict holding an array of each tensor's shape under its
-    name, every gradient is written into its array, and the returned dict
-    holds those arrays. The result is the same bits either way.
+    With ``out``, a dict holding a float64 array of each tensor's shape under
+    its name, every gradient is written into its array, and the returned dict
+    holds those arrays. The result is the same bits either way. ``out`` is
+    checked against the spec before anything runs, so a missing or misshaped
+    entry is a ``DomainError`` that leaves every array as it was. So is an
+    empty batch, whose mean loss is undefined.
     """
+    if out is not None:
+        _check_tensors(spec, out, "out", np.float64)
     acts = _forward_trace(spec, params, batch.inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], batch.targets)
-    grads: NamedParams = {name: None for name in spec.layer_names()}  # type: ignore[misc]
-    for i in reversed(range(spec.n_layers)):
-        w_name, b_name = f"layer{i}.weight", f"layer{i}.bias"
-        grads[w_name] = np.matmul(delta.T, acts[i], out=None if out is None else out[w_name])
-        grads[b_name] = delta.sum(axis=0, out=None if out is None else out[b_name])
+    grads: NamedParams = dict.fromkeys(spec._shapes)  # type: ignore[arg-type]
+    dst = {} if out is None else out
+    layers = spec._layers
+    for i in reversed(range(len(layers))):
+        layer = layers[i]
+        grads[layer.weight] = np.matmul(delta.T, acts[i], out=dst.get(layer.weight))
+        grads[layer.bias] = np.add.reduce(delta, axis=0, out=dst.get(layer.bias))
         if i > 0:
-            _, dact = _activation_fns(spec, i - 1)
-            delta = delta @ params[w_name]
-            delta *= dact(acts[i])
+            delta = delta @ params[layer.weight]
+            delta *= layers[i - 1].dact(acts[i])
     return loss, grads
 
 

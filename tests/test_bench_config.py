@@ -110,3 +110,21 @@ class TestSchedule:
             ExperimentConfig(epochs=0)
         with pytest.raises(ConfigError):
             ExperimentConfig(checkpoint_every=-1)
+
+
+class TestHyperSgdBaseKeys:
+    # hyper-sgd learns its own rate, so a base optimizer key it would ignore is an error
+    @pytest.mark.parametrize("key, value", [
+        ("base", "adamw"), ("lr", "0.01"), ("momentum", "0"), ("weight_decay", "0.1"),
+        ("nesterov", "true"),
+    ])
+    def test_each_non_default_key_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"method = hyper-sgd\n{key} = {value}\n")
+        assert getattr(parse_config_text(f"method = ftp\n{key} = {value}\n"), key) != \
+            getattr(ExperimentConfig(), key)
+
+    def test_defaults_accepted_when_written(self):
+        cfg = parse_config_text("method = hyper-sgd\nbase = sgd\nlr = 0.08\nmomentum = 0.9\n"
+                                "weight_decay = 0\nnesterov = false\n")
+        assert (cfg.base, cfg.lr, cfg.momentum) == ("sgd", 0.08, 0.9)

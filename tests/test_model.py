@@ -271,6 +271,117 @@ def test_backward_is_bitwise_the_frozen_formula(activation, loss, widths):
         assert all(got[name] is out[name] for name in out)
 
 
+def frozen_case(widths=(8, 16, 16, 4), activation="tanh", loss="softmax_ce", seed=31):
+    spec = MlpSpec(widths=widths, activations=(activation,) * (len(widths) - 2), loss=loss)
+    rng = SeededRng(seed)
+    params = init_params(spec, rng.derive(0))
+    for i in range(spec.n_layers):
+        params[f"layer{i}.bias"] = rng.derive(1, i).normal((widths[i + 1],), stddev=0.3)
+    return spec, params, rng
+
+
+def assert_frozen_bits(spec, params, batch):
+    want_loss, want = frozen_backward(spec, params, batch)
+    got_loss, got = backward(spec, params, batch)
+    assert got_loss == want_loss
+    assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
+def test_batch_sizes_interleaved_in_one_process_are_the_frozen_bits(loss):
+    # the row index of the loss is kept per batch size; sizes alternate here
+    spec, params, rng = frozen_case(loss=loss)
+    for trial, n in enumerate((1, 5, 16, 5, 1, 16, 16, 1)):
+        x = rng.derive(2, trial).normal((n, 8), stddev=2.0)
+        y = (np.asarray(rng.derive(3, trial).integers(0, 4, size=n)) if loss == "softmax_ce"
+             else rng.derive(3, trial).normal((n, 4)))
+        assert_frozen_bits(spec, params, Batch(x, y))
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.int64])
+def test_integer_labels_of_every_width_are_the_frozen_bits(dtype):
+    spec, params, rng = frozen_case()
+    x = rng.derive(2).normal((16, 8), stddev=2.0)
+    labels = np.asarray(rng.derive(3).integers(0, 4, size=16))
+    assert_frozen_bits(spec, params, Batch(x, labels.astype(dtype)))
+    for bad in ([4], [-1] if np.issubdtype(dtype, np.signedinteger) else [255]):
+        wrong = labels.astype(dtype)
+        wrong[7] = np.array(bad, dtype=dtype)[0]
+        with pytest.raises(DomainError, match="labels must lie"):
+            backward(spec, params, Batch(x, wrong))
+        with pytest.raises(DomainError, match="labels must lie"):
+            evaluate_loss(spec, params, Batch(x, wrong))
+
+
+def test_non_integer_labels_rejected():
+    spec, params, rng = frozen_case()
+    x = rng.derive(2).normal((4, 8))
+    for labels in (np.array([0.0, 1.0, 2.0, 3.0]), np.array([True, False, True, False])):
+        with pytest.raises(DomainError, match="integer class labels"):
+            backward(spec, params, Batch(x, labels))
+
+
+def test_an_equal_spec_runs_the_same_bits():
+    spec, params, rng = frozen_case()
+    batch = Batch(rng.derive(2).normal((16, 8), stddev=2.0),
+                  np.asarray(rng.derive(3).integers(0, 4, size=16)))
+    loss, grads = backward(spec, params, batch)
+    twin = MlpSpec(widths=spec.widths, activations=spec.activations, loss=spec.loss)
+    assert twin == spec and twin is not spec
+    assert twin.layer_names() == spec.layer_names()
+    twin_loss, twin_grads = backward(twin, params, batch)
+    assert twin_loss == loss
+    assert all(twin_grads[name].tobytes() == grads[name].tobytes() for name in grads)
+    assert_frozen_bits(twin, params, batch)
+
+
+class TestBackwardOut:
+    @staticmethod
+    def case():
+        spec, params, rng = frozen_case()
+        batch = Batch(rng.derive(2).normal((16, 8)),
+                      np.asarray(rng.derive(3).integers(0, 4, size=16)))
+        out = {name: np.full_like(v, 7.0) for name, v in params.items()}
+        return spec, params, batch, out
+
+    @pytest.mark.parametrize("name", ["layer2.weight", "layer2.bias", "layer0.weight"])
+    def test_missing_entry_is_domain_error_and_writes_nothing(self, name):
+        spec, params, batch, out = self.case()
+        del out[name]
+        with pytest.raises(DomainError, match=name):
+            backward(spec, params, batch, out=out)
+        assert all((v == 7.0).all() for v in out.values())
+
+    @pytest.mark.parametrize("name, shape", [
+        ("layer0.weight", (16, 9)), ("layer0.bias", (15,)), ("layer1.weight", (16, 16, 1)),
+    ])
+    def test_misshaped_entry_is_domain_error_and_writes_nothing(self, name, shape):
+        spec, params, batch, out = self.case()
+        out[name] = np.full(shape, 7.0)
+        with pytest.raises(DomainError, match=name):
+            backward(spec, params, batch, out=out)
+        assert all((v == 7.0).all() for v in out.values())
+
+    def test_entry_of_another_dtype_is_domain_error_and_writes_nothing(self):
+        spec, params, batch, out = self.case()
+        out["layer0.bias"] = out["layer0.bias"].astype(np.float32)
+        with pytest.raises(DomainError, match="dtype"):
+            backward(spec, params, batch, out=out)
+        assert all((v == 7.0).all() for v in out.values())
+
+
+@pytest.mark.parametrize("loss", ["softmax_ce", "mse"])
+def test_an_empty_batch_has_no_loss_but_a_forward(loss):
+    spec, params, _ = frozen_case(loss=loss)
+    x = np.zeros((0, 8))
+    y = np.zeros(0, dtype=np.int64) if loss == "softmax_ce" else np.zeros((0, 4))
+    with pytest.raises(DomainError, match="empty batch"):
+        backward(spec, params, Batch(x, y))
+    with pytest.raises(DomainError, match="empty batch"):
+        evaluate_loss(spec, params, Batch(x, y))
+    assert forward(spec, params, x).shape == (0, 4)
+
+
 class TestFiniteDiffOracle:
     def test_rejects_nonpositive_step(self):
         spec, params, batch = random_net(0, (2, 2), (), "mse")

@@ -51,7 +51,8 @@ WIDE = {"model.hidden": "512,512", "seed": "11"}
 # configuration name -> overrides of BASE_CONFIG
 CONFIGURATIONS: dict[str, dict[str, str]] = {
     **{f"{m}-sgd": {"method": m} for m in METHODS},
-    **{f"{m}-adamw": {"method": m, **ADAMW} for m in METHODS},
+    # hyper-sgd learns its own rate, so it takes no base optimizer keys
+    **{f"{m}-adamw": {"method": m, **ADAMW} for m in METHODS if m != "hyper-sgd"},
     "ftp-exclude": {"method": "ftp", "exclude_set": "layer0.weight,layer2.bias"},
     "ftp-k0": {"method": "ftp", "k": "0"},
     "mars-sp-gamma0.05": {"method": "mars-sp", "mars_sp.gamma": "0.05"},
