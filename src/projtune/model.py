@@ -290,9 +290,9 @@ def backward(
     With ``out``, a dict holding a float64 array of each tensor's shape under
     its name, every gradient is written into its array, and the returned dict
     holds those arrays. The result is the same bits either way. ``out`` is
-    checked against the spec before anything runs, so a missing or misshaped
-    entry is a ``DomainError`` that leaves every array as it was. So is an
-    empty batch, whose mean loss is undefined.
+    checked against the spec before anything runs, so a missing entry, or one
+    of another shape or dtype, is a ``DomainError`` that leaves every array as
+    it was. So is an empty batch, whose mean loss is undefined.
     """
     if out is not None:
         _check_tensors(spec, out, "out", np.float64)
