@@ -279,7 +279,9 @@ class MarsSpOptimizer(ProjectedOptimizer):
 class TpgmOptimizer(ProjectedOptimizer):
     """Constraint learning with a separate validation loop for each step.
 
-    After the base update, ``inner_iters`` validation batches refine the
+    ``val_batches`` gives each step its list of validation batches; a step
+    takes the next item only when it runs, so a generator can draw them
+    lazily. After the base update, the first ``inner_iters`` batches of the step's list refine the
     per-tensor radii: each inner iteration projects the frozen unconstrained
     weights with the current radii, evaluates the validation gradient there
     (one extra forward+backward), chains it through the projection, and
@@ -293,6 +295,7 @@ class TpgmOptimizer(ProjectedOptimizer):
         params: dict[str, ManagedParam],
         base,
         grad_fn: Callable[[dict[str, np.ndarray], Batch], tuple[float, dict[str, np.ndarray]]],
+        val_batches: Iterable[Sequence[Batch]],
         inner_iters: int = 1,
         exclude_set: Iterable[str] = (),
         mu: float = 1e-2,
@@ -304,6 +307,7 @@ class TpgmOptimizer(ProjectedOptimizer):
             raise ConfigError(f"inner_iters must be nonnegative, got {inner_iters}")
         super().__init__(params, base, exclude_set)
         self.grad_fn = grad_fn
+        self.val_batches = iter(val_batches)
         self.inner_iters = int(inner_iters)
         self.gammas = {
             name: GammaState(gamma=gamma_init, kappa=1.0, mu=mu, beta1=betas[0], beta2=betas[1],
@@ -321,19 +325,21 @@ class TpgmOptimizer(ProjectedOptimizer):
                for name, view in b.views_of(probe).items()}
             for turn in (0, 1))
 
-    def step(self, val_batches: Sequence[Batch]) -> None:
-        """One training step consuming ``inner_iters`` validation batches.
+    def step(self) -> None:
+        """One training step consuming the next list of validation batches.
 
-        Each inner iteration takes every radius gradient, and checks it,
-        before any radius moves, and a failed step puts back the radii that
-        earlier inner iterations moved. The base optimizer's buffers (SGD's
+        A list shorter than ``inner_iters`` (an exhausted stream counts as an
+        empty one) is a ConfigError before anything moves. Each inner
+        iteration takes every radius gradient, and checks it, before any
+        radius moves, and a failed step puts back the radii that earlier
+        inner iterations moved. The base optimizer's buffers (SGD's
         velocity, AdamW's moments and step counts) have already advanced
         when it raises.
         """
+        val_batches = next(self.val_batches, ())
         if len(val_batches) < self.inner_iters:
-            raise ConfigError(
-                f"need {self.inner_iters} validation batches, got {len(val_batches)}"
-            )
+            raise ConfigError(f"need {self.inner_iters} validation batches, the validation "
+                              f"stream gave {len(val_batches)}")
         self._gather()
         self._base_step(project=False)
         spare = 1 - self._turn

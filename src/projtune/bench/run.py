@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -131,11 +131,6 @@ def evaluate(spec: MlpSpec, params: dict[str, np.ndarray], dataset: ShiftDataset
     return table
 
 
-def head_names(spec: MlpSpec) -> list[str]:
-    last = spec.n_layers - 1
-    return [f"layer{last}.weight", f"layer{last}.bias"]
-
-
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -177,39 +172,49 @@ def pretrain(
 # fine-tuning
 
 
-def _expand_exclude(exclude: tuple[str, ...], names) -> tuple[str, ...]:
-    if exclude == ("*",):
-        return tuple(names)
-    return exclude
+class _Method(NamedTuple):
+    """What the run does differently for one method."""
+
+    # (config, params, base=, exclude=, grad_fn=, val_batches=) -> optimizer
+    build: Callable
+    # share of the fine-tuning subsample held out as validation data
+    val_fraction: float = 0.0
+    # share of the iterations that train only the head
+    probe_share: float = 0.0
+    # whether the gradients take L2-SP's pull toward the anchor
+    l2_sp: bool = False
+    # the finished optimizer -> its entries of summary.json
+    extras: Callable = lambda optimizer: {}
 
 
-def _build_optimizer(config: ExperimentConfig, params, counting: CountingModel):
-    base = make_base_optimizer(
-        config.base,
-        config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        nesterov=config.nesterov,
-    )
-    exclude = _expand_exclude(config.exclude_set, params.keys())
-    method = config.method
-    if method in ("ft", "linear-probe", "lp-ft", "l2-sp"):
-        return BaseOnlyOptimizer(params, base)
-    if method == "mars-sp":
-        return MarsSpOptimizer(params, base, config.mars_sp_gamma, exclude_set=exclude)
-    if method == "tpgm":
-        return TpgmOptimizer(
-            params,
-            base,
-            counting.loss_and_grads,
-            inner_iters=config.tpgm_inner_iters,
-            exclude_set=exclude,
-        )
-    if method == "ftp":
-        return FtpOptimizer(params, base, k=config.k, exclude_set=exclude)
-    if method == "hyper-sgd":
-        return HyperSgd(params, alpha0=config.hyper_alpha0, kappa=config.hyper_kappa)
-    raise RunError(f"no optimizer wired for method {method!r}")
+def _base_only(config, params, base, **_):
+    return BaseOnlyOptimizer(params, base)
+
+
+# The only place the run names a method.
+_METHODS = {
+    "ft": _Method(_base_only),
+    "linear-probe": _Method(_base_only, probe_share=1.0),
+    "lp-ft": _Method(_base_only, probe_share=0.5),
+    "l2-sp": _Method(_base_only, l2_sp=True),
+    "mars-sp": _Method(lambda config, params, base, exclude, **_: MarsSpOptimizer(
+        params, base, config.mars_sp_gamma, exclude_set=exclude)),
+    "tpgm": _Method(lambda config, params, base, exclude, grad_fn, val_batches: TpgmOptimizer(
+        params, base, grad_fn, val_batches, inner_iters=config.tpgm_inner_iters,
+        exclude_set=exclude), val_fraction=TPGM_VAL_FRACTION),
+    "ftp": _Method(lambda config, params, base, exclude, **_: FtpOptimizer(
+        params, base, k=config.k, exclude_set=exclude)),
+    "hyper-sgd": _Method(lambda config, params, **_: HyperSgd(
+        params, alpha0=config.hyper_alpha0, kappa=config.hyper_kappa),
+        extras=lambda optimizer: {"final_alpha": optimizer.alpha}),
+}
+
+
+def _val_batches(root: SeededRng, iterations: range, split: Optional[Split],
+                 config: ExperimentConfig):
+    """For each of ``iterations``, ``tpgm.inner_iters`` batches of ``split``, drawn when asked for."""
+    for rngs in root.streams(_TAG_VAL, iterations, width=config.tpgm_inner_iters):
+        yield [draw_batch(rng, split, config.batch_size) for rng in rngs]
 
 
 def _run_checkpoint(
@@ -239,20 +244,37 @@ def _run_checkpoint(
     )
 
 
-def _restore_from_checkpoint(
-    ckpt: Checkpoint, config: ExperimentConfig, params, optimizer, counting: CountingModel,
-):
-    """Load a mid-run checkpoint of this very run into the live state; return its iteration.
+def _load_resume(path, config: ExperimentConfig, spec: MlpSpec, total_iters: int) -> Checkpoint:
+    """The checkpoint at ``path``, checked to be a mid-run state of this very run.
 
-    A checkpoint written by another method, seed, set of learned radii (an
-    exclude set) or base optimizer raises RunError before anything is restored.
+    A checkpoint of another model, method or seed, or one at or past the
+    run's last iteration, raises RunError.
     """
-    for what, stored, wanted in (("method", ckpt.extra.get("method"), config.method),
-                                 ("seed", ckpt.rng.get("seed"), config.seed),
-                                 ("learned radii", sorted(ckpt.gammas), sorted(optimizer.gammas))):
+    if not Path(path).exists():
+        raise RunError(f"resume checkpoint {path} not found")
+    ckpt = load_checkpoint(path)
+    for what, stored, wanted in (("model", ckpt.spec_hash, spec_hash(spec)),
+                                 ("method", ckpt.extra.get("method"), config.method),
+                                 ("seed", ckpt.rng.get("seed"), config.seed)):
         if stored != wanted:
             raise RunError(f"resume checkpoint was written with {what} {stored!r}, "
                            f"this run has {what} {wanted!r}")
+    if not ckpt.iteration < total_iters:
+        raise RunError(f"resume checkpoint {path} is at iteration {ckpt.iteration}, "
+                       f"this run ends at iteration {total_iters}")
+    return ckpt
+
+
+def _restore_from_checkpoint(ckpt: Checkpoint, params, optimizer, counting: CountingModel):
+    """Load a checkpoint from :func:`_load_resume` into the live state.
+
+    A checkpoint with another set of learned radii (an exclude set) or of
+    another optimizer kind raises RunError before anything is restored.
+    """
+    if sorted(ckpt.gammas) != sorted(optimizer.gammas):
+        raise RunError(f"resume checkpoint was written with learned radii "
+                       f"{sorted(ckpt.gammas)!r}, this run has learned radii "
+                       f"{sorted(optimizer.gammas)!r}")
     try:
         optimizer.set_state(ckpt.optimizer)
     except StateError as exc:
@@ -263,11 +285,9 @@ def _restore_from_checkpoint(
         prev = ckpt.prev_unconstrained.get(name)
         p.prev_unconstrained = None if prev is None else prev.copy()
         p.grad = None
-    for name, state in ckpt.gammas.items():
-        optimizer.gammas[name] = GammaState(**state)
+    optimizer.gammas.update((name, GammaState(**state)) for name, state in ckpt.gammas.items())
     counting.fwd_count = int(ckpt.extra.get("fwd_count", 0))
     counting.bwd_count = int(ckpt.extra.get("bwd_count", 0))
-    return ckpt.iteration
 
 
 def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> RunRecord:
@@ -276,11 +296,20 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
     Writes ``metrics.csv``, ``metrics.json``, ``summary.json`` and
     ``state.ckpt`` into the output directory and returns the run record.
     """
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    method = _METHODS[config.method]
     dataset = generate_shift_dataset(config.dataset_spec(), config.seed)
     spec = model_spec_from_config(config)
+    ft_train = finetune_subsample(dataset, config.finetune_n, config.finetune_skew)
+    ft_val = None
+    if method.val_fraction:
+        n_val = max(1, int(len(ft_train) * method.val_fraction))
+        ft_val = Split(ft_train.inputs[-n_val:], ft_train.labels[-n_val:])
+        ft_train = Split(ft_train.inputs[:-n_val], ft_train.labels[:-n_val])
+    total_iters = config.total_iters(len(ft_train))
+    ckpt = None if resume is None else _load_resume(resume, config, spec, total_iters)
 
+    outdir = Path(config.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     pre_path = Path(config.pretrain_path) if config.pretrain_path else outdir / "pretrain.ckpt"
     if not pre_path.exists():
         pretrain(config, dataset=dataset, path=pre_path)
@@ -288,39 +317,26 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
     if pre.spec_hash != spec_hash(spec):
         raise RunError(f"pretrained checkpoint at {pre_path} was built for a different model")
 
-    ft_all = finetune_subsample(dataset, config.finetune_n, config.finetune_skew)
-    if config.method == "tpgm":
-        n_val = max(1, int(len(ft_all) * TPGM_VAL_FRACTION))
-        ft_train = Split(ft_all.inputs[:-n_val], ft_all.labels[:-n_val])
-        ft_val = Split(ft_all.inputs[-n_val:], ft_all.labels[-n_val:])
-    else:
-        ft_train, ft_val = ft_all, None
-
     counting = CountingModel(spec)
     params = make_managed(pre.values, anchors=pre.anchors)
-    optimizer = _build_optimizer(config, params, counting)
-
-    start_iter = 0
-    if resume is not None:
-        resume = Path(resume)
-        if not resume.exists():
-            raise RunError(f"resume checkpoint {resume} not found")
-        ckpt = load_checkpoint(resume)
-        if ckpt.spec_hash != spec_hash(spec):
-            raise RunError(f"resume checkpoint {resume} was built for a different model")
-        start_iter = _restore_from_checkpoint(ckpt, config, params, optimizer, counting)
-
-    total_iters = config.total_iters(len(ft_train))
-    gamma_names = tuple(optimizer.gamma_values())
-    record = RunRecord(gamma_names=gamma_names)
     root = SeededRng(config.seed)
+    iterations = range(1 if ckpt is None else ckpt.iteration + 1, total_iters + 1)
+    base = make_base_optimizer(config.base, config.lr, momentum=config.momentum,
+                               weight_decay=config.weight_decay, nesterov=config.nesterov)
+    optimizer = method.build(config, params, base=base,
+                             exclude=tuple(params) if config.exclude_set == ("*",)
+                             else config.exclude_set,
+                             grad_fn=counting.loss_and_grads,
+                             # read only by TPGM; a generator draws nothing until read
+                             val_batches=_val_batches(root, iterations, ft_val, config))
+    if ckpt is not None:
+        _restore_from_checkpoint(ckpt, params, optimizer, counting)
 
-    lpft_boundary = total_iters // 2 if config.method == "lp-ft" else 0
+    record = RunRecord(gamma_names=tuple(optimizer.gamma_values()))
+    probe_until = int(total_iters * method.probe_share)
+    head = [f"layer{spec.n_layers - 1}.weight", f"layer{spec.n_layers - 1}.bias"]
 
     max_excess = -math.inf
-    iterations = range(start_iter + 1, total_iters + 1)
-    if config.method == "tpgm":
-        val_rngs = root.streams(_TAG_VAL, iterations, width=config.tpgm_inner_iters)
     for t, batch_rng in zip(iterations, root.streams(_TAG_BATCH, iterations)):
         tic = time.perf_counter()
         batch = draw_batch(batch_rng, ft_train, config.batch_size)
@@ -337,19 +353,12 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
             raise RunError(f"training loss diverged at iteration {t}")
         for name, p in params.items():
             g = grads[name]
-            if config.method == "l2-sp":
+            if method.l2_sp:
                 g += l2_sp_grad(p.value, p.anchor, config.l2_sp_lambda)
             p.grad = g
-        probe_phase = config.method == "linear-probe" or (
-            config.method == "lp-ft" and t <= lpft_boundary
-        )
-        if probe_phase:
-            freeze_mask(params, head_names(spec))
-        if config.method == "tpgm":
-            val_batches = [draw_batch(rng, ft_val, config.batch_size) for rng in next(val_rngs)]
-            optimizer.step(val_batches)
-        else:
-            optimizer.step()
+        if t <= probe_until:
+            freeze_mask(params, head)
+        optimizer.step()
 
         secs = time.perf_counter() - tic
         record.add_row(t, loss, secs, counting.fwd_count, counting.bwd_count,
@@ -375,8 +384,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
         mixed = wise_interpolate_params(final_values, anchors, config.wise_ratio)
         for key, value in evaluate(spec, mixed, dataset).items():
             summary[f"wise.{key}"] = value
-    if isinstance(optimizer, HyperSgd):
-        summary["final_alpha"] = optimizer.alpha
+    summary.update(method.extras(optimizer))
     record.summary = summary
 
     emit_metrics(record, "csv", outdir / "metrics.csv")

@@ -86,8 +86,14 @@ class HyperSgd:
                 "tensors": {} if prev is None else {"hyper/prev_grad": prev}}
 
     def set_state(self, state: dict) -> None:
+        """Load ``state``; StateError, with nothing loaded, if it does not fit these params."""
         prev = state_tensors(state, "hyper-sgd").get("hyper/prev_grad")
-        self.state.alpha = float(state["alpha"])
+        alpha = float(state.get("alpha", 0.0))
+        size = sum(p.value.size for p in self.params.values())
+        if not alpha > 0 or (prev is not None and np.shape(prev) != (size,)):
+            raise StateError(f"hyper-sgd state (alpha {state.get('alpha')!r}, prev_grad shape "
+                             f"{np.shape(prev)}) needs alpha > 0 and shape ({size},)")
+        self.state.alpha = alpha
         self.state.prev_grad = None if prev is None else np.asarray(prev)
 
     def step(self) -> None:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,7 @@ class TestAdamW:
 @pytest.mark.parametrize("build", [
     lambda params: BaseOnlyOptimizer(params, Sgd(lr=0.1)).step,
     lambda params: MarsSpOptimizer(params, Sgd(lr=0.1), gamma=0.5).step,
-    lambda params: lambda: TpgmOptimizer(params, Sgd(lr=0.1), None, inner_iters=0).step([]),
+    lambda params: TpgmOptimizer(params, Sgd(lr=0.1), None, [[]], inner_iters=0).step,
     lambda params: FtpOptimizer(params, Sgd(lr=0.1)).step,
     lambda params: HyperSgd(params, alpha0=0.1, kappa=0.0).step,
 ], ids=["base-only", "mars-sp", "tpgm", "ftp", "hyper-sgd"])
@@ -137,7 +139,8 @@ def test_missing_gradient_is_state_error_before_any_update(build):
 @pytest.mark.parametrize("build", [
     lambda params: BaseOnlyOptimizer(params, Sgd(lr=0.1, momentum=0.9)),
     lambda params: MarsSpOptimizer(params, AdamW(lr=0.1), gamma=0.5),
-    lambda params: TpgmOptimizer(params, Sgd(lr=0.1, momentum=0.9), None, inner_iters=0),
+    lambda params: TpgmOptimizer(params, Sgd(lr=0.1, momentum=0.9), None, itertools.repeat([]),
+                                 inner_iters=0),
     lambda params: FtpOptimizer(params, AdamW(lr=0.1)),
     lambda params: HyperSgd(params, alpha0=0.1, kappa=0.5),
 ], ids=["base-only", "mars-sp", "tpgm", "ftp", "hyper-sgd"])
@@ -148,10 +151,7 @@ def test_optimizer_state_round_trips_and_rejects_another_kind(build):
         for t in range(2):
             for p in params.values():
                 p.grad = np.full(p.value.shape, 0.5 + t)
-            if isinstance(opt, TpgmOptimizer):
-                opt.step([])
-            else:
-                opt.step()
+            opt.step()
         return opt
 
     state = stepped().get_state()
@@ -288,7 +288,9 @@ class TestMarsSp:
 
 
 class TestTpgm:
-    def make(self, seed=4, inner_iters=1, lr=0.05):
+    def make(self, seed=4, inner_iters=1, lr=0.05, n_val=None, steps=None):
+        """TPGM whose stream gives each of ``steps`` steps (default: every step)
+        ``n_val`` (default: ``inner_iters``) copies of the training batch."""
         spec, params, batch = toy_problem(seed)
         calls = {"n": 0}
 
@@ -296,7 +298,9 @@ class TestTpgm:
             calls["n"] += 1
             return backward(spec, values, b)
 
-        opt = TpgmOptimizer(params, Sgd(lr=lr), grad_fn, inner_iters=inner_iters)
+        per_step = [batch] * (inner_iters if n_val is None else n_val)
+        stream = itertools.repeat(per_step) if steps is None else [per_step] * steps
+        opt = TpgmOptimizer(params, Sgd(lr=lr), grad_fn, stream, inner_iters=inner_iters)
         return spec, params, batch, opt, calls
 
     def test_zero_inner_iterations_is_pure_projection(self):
@@ -310,7 +314,7 @@ class TestTpgm:
             expected[name] = view.from_2d(
                 project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor), opt.gammas[name].gamma)
             )
-        opt.step([])
+        opt.step()
         for name in params:
             np.testing.assert_array_equal(params[name].value, expected[name])
 
@@ -323,7 +327,7 @@ class TestTpgm:
         opt.grad_fn = zero_grad_fn
         gammas_before = {n: gs.gamma for n, gs in opt.gammas.items()}
         assign_grads(spec, params, batch)
-        opt.step([batch])
+        opt.step()
         for name, gs in opt.gammas.items():
             assert gs.gamma == pytest.approx(gammas_before[name], abs=1e-15)
 
@@ -332,20 +336,35 @@ class TestTpgm:
             spec, params, batch, opt, calls = self.make(inner_iters=k)
             for _ in range(4):
                 assign_grads(spec, params, batch)
-                opt.step([batch] * k)
+                opt.step()
             assert calls["n"] == 4 * k
 
     def test_too_few_validation_batches_rejected(self):
-        spec, params, batch, opt, _ = self.make(inner_iters=2)
+        spec, params, batch, opt, _ = self.make(inner_iters=2, n_val=1)
         assign_grads(spec, params, batch)
         with pytest.raises(ConfigError):
-            opt.step([batch])
+            opt.step()
+
+    def test_an_exhausted_validation_stream_is_config_error_before_any_update(self):
+        spec, params, batch, opt, calls = self.make(steps=2)
+        for _ in range(2):
+            assign_grads(spec, params, batch)
+            opt.step()
+        values = {name: p.value.copy() for name, p in params.items()}
+        gammas = {name: gs.gamma for name, gs in opt.gammas.items()}
+        assign_grads(spec, params, batch)
+        with pytest.raises(ConfigError, match="validation"):
+            opt.step()
+        assert calls["n"] == 2
+        assert {name: gs.gamma for name, gs in opt.gammas.items()} == gammas
+        for name, p in params.items():
+            assert p.value.tobytes() == values[name].tobytes(), name
 
     def test_constraint_holds_along_trajectory(self):
         spec, params, batch, opt, _ = self.make(seed=6)
         for _ in range(15):
             assign_grads(spec, params, batch)
-            opt.step([batch])
+            opt.step()
             for name, gs in opt.gammas.items():
                 view = opt.views[name]
                 _, d = row_displacement(view.to_2d(params[name].value),

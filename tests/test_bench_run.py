@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from projtune.bench import config as config_module
+from projtune.bench import run as run_module
 from projtune.bench.checkpoint import load_checkpoint
 from projtune.bench.config import ExperimentConfig
 from projtune.bench.data import DatasetSpec, generate_shift_dataset
@@ -233,6 +235,39 @@ class TestMethods:
             else:
                 np.testing.assert_array_equal(post.values[name], pre.values[name])
 
+    def test_the_method_table_covers_every_configurable_method(self):
+        assert set(run_module._METHODS) == set(config_module.METHODS)
+
+    @pytest.mark.parametrize("method, expected", [
+        ("l2-sp", lambda total, tensors: (total * tensors, 0, total)),
+        ("linear-probe", lambda total, tensors: (0, total, total)),
+        ("lp-ft", lambda total, tensors: (0, total // 2, total)),
+        # a training batch and tpgm.inner_iters = 2 validation batches per iteration
+        ("tpgm", lambda total, tensors: (0, 0, 3 * total)),
+        ("ft", lambda total, tensors: (0, 0, total)),
+    ], ids=["l2-sp", "linear-probe", "lp-ft", "tpgm", "ft"])
+    def test_traced_call_sites_are_reached_through_the_module(self, tmp_path, monkeypatch,
+                                                             method, expected):
+        # perfbench traces these three by replacing bench.run's globals
+        names = ("l2_sp_grad", "freeze_mask", "draw_batch")
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        config = tiny_config(tmp_path, method, method=method, epochs=3, tpgm_inner_iters=2)
+        pretrain(config, path=tmp_path / "shared-pretrain.ckpt")  # its draws are not counted
+        for name in names:
+            monkeypatch.setattr(run_module, name, counting(name, getattr(run_module, name)))
+        rec = run_experiment(config)
+        total = rec.summary["iterations"]
+        assert total % 2 == 1 or method == "tpgm"  # so that lp-ft's boundary rounds down
+        tensors = len(load_checkpoint(tmp_path / method / "state.ckpt").values)
+        assert tuple(calls[name] for name in names) == expected(total, tensors)
+
     def test_wise_ratio_adds_summary_entries(self, tmp_path):
         rec = run_experiment(tiny_config(tmp_path, "wise", method="ft", wise_ratio=0.5))
         assert "wise.id" in rec.summary and "wise.ood_average" in rec.summary
@@ -327,6 +362,21 @@ class TestResume:
         config = tiny_config(tmp_path, "resumed", **{"method": "ftp", "epochs": 2, **change})
         with pytest.raises(RunError, match="resume checkpoint"):
             run_experiment(config, resume=mid)
+
+    @pytest.mark.parametrize("epochs", [2, 5], ids=["past-the-end", "at-the-end"])
+    def test_resume_at_or_past_the_run_end_is_run_error_and_writes_nothing(self, tmp_path,
+                                                                          epochs):
+        # 3 iterations per epoch: 18 in the source run, 6 or 15 in the resumed one
+        run_experiment(tiny_config(tmp_path, "src", method="ftp", epochs=6, checkpoint_every=5))
+        src = tmp_path / "src"
+        before = {path.name: path.read_bytes() for path in src.iterdir()}
+        for outdir in ("src", "fresh"):
+            config = tiny_config(tmp_path, outdir, method="ftp", epochs=epochs,
+                                 pretrain_path="")
+            with pytest.raises(RunError, match="iteration 15"):
+                run_experiment(config, resume=src / "ckpt_iter15.ckpt")
+        assert {path.name: path.read_bytes() for path in src.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
 
     def test_missing_resume_checkpoint_rejected(self, tmp_path):
         config = tiny_config(tmp_path, "gone")

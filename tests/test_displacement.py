@@ -10,6 +10,7 @@ from outside: an anchor rebase, arrays set as a checkpoint restore sets
 them, and a resume into a fresh optimizer.
 """
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -92,7 +93,8 @@ def build(method, params, base, grads_at):
     if method == "ftp":
         return FtpOptimizer(params, base, k=0.5, exclude_set=["head"], gamma_init=0.05)
     if method == "tpgm":
-        return TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)), inner_iters=2,
+        return TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)),
+                             itertools.repeat([0.5, -1.5]), inner_iters=2,
                              exclude_set=["head"], gamma_init=0.05)
     if method == "mars-sp":
         return MarsSpOptimizer(params, base, MARS_GAMMA, exclude_set=["head"])
@@ -263,10 +265,7 @@ def step_with_reference(method, base_kind, event, params, grads_at, steps=12):
         # odd steps hand the gradients over in the blocks, even ones as new arrays
         assign_grads(method, t, params, grads_at, into=opt.grad_views if t % 2 else None)
         assign_grads(method, t, ref, grads_at)
-        if method == "tpgm":
-            opt.step([0.5, -1.5])
-        else:
-            opt.step()
+        opt.step()
         reference_step(method, ref, ref_base, shadow)
         assert_same_state(params, ref, opt, shadow.gammas, ref_base)
         assert opt.constraint_excess() == full_excess(shadow, ref)
@@ -327,15 +326,11 @@ def test_a_radius_set_from_outside_reaches_the_next_projection_and_check(method,
             assert opt.constraint_excess() == full_excess(shadow, ref)
         assign_grads(method, t, params, grads_at, into=opt.grad_views)
         assign_grads(method, t, ref, grads_at)
-        if method == "tpgm":
-            opt.step([0.5, -1.5])
-            reference_step(method, ref, ref_base, shadow)
+        opt.step()
+        if method == "mars-sp":
+            reference_base_step(ref, ref_base, shadow.views, shadow.radius)
         else:
-            opt.step()
-            if method == "ftp":
-                reference_step(method, ref, ref_base, shadow)
-            else:
-                reference_base_step(ref, ref_base, shadow.views, shadow.radius)
+            reference_step(method, ref, ref_base, shadow)
         assert_same_state(params, ref, opt, shadow.gammas, ref_base)
         assert opt.constraint_excess() == full_excess(shadow, ref)
 
@@ -413,18 +408,21 @@ def test_a_failed_tpgm_step_moves_no_radius_and_no_weight(inner_iters):
             grads["b"] = np.full(grads["b"].shape, np.nan)
         return 0.0, grads
 
-    opt = TpgmOptimizer(params, Sgd(lr=0.3, momentum=0.9), grad_fn, inner_iters=inner_iters,
-                        exclude_set=["head"], gamma_init=0.05)
+    good = [0.5] * inner_iters
+    # three steps, a step whose last validation batch is bad, and one more step
+    stream = [good] * 3 + [[0.5] * (inner_iters - 1) + ["bad"], good]
+    opt = TpgmOptimizer(params, Sgd(lr=0.3, momentum=0.9), grad_fn, stream,
+                        inner_iters=inner_iters, exclude_set=["head"], gamma_init=0.05)
     for t in range(1, 4):
         assign_grads("tpgm", t, params, grads_at)
-        opt.step([0.5] * inner_iters)
+        opt.step()
     gammas = {n: asdict(g) for n, g in opt.gammas.items()}
     values = {n: p.value.copy() for n, p in params.items()}
     velocity = {k: v.copy() for k, v in opt.get_state()["tensors"].items()}
     assign_grads("tpgm", 4, params, grads_at)
     # w, whose radius is updated first, has a finite gradient in every inner iteration
     with pytest.raises(DomainError, match="non-finite") as failure:
-        opt.step([0.5] * (inner_iters - 1) + ["bad"])
+        opt.step()
     assert evaluations[-1] == "bad"
     assert {n: asdict(g) for n, g in opt.gammas.items()} == gammas
     assert "'b'" in str(failure.value)
@@ -435,7 +433,7 @@ def test_a_failed_tpgm_step_moves_no_radius_and_no_weight(inner_iters):
     assert all(after[k].tobytes() != v.tobytes() for k, v in velocity.items())
     # the next step projects at the radii as they were before the failed one
     assign_grads("tpgm", 4, params, grads_at)
-    opt.step([0.5] * inner_iters)
+    opt.step()
     assert opt.constraint_excess() == full_excess(opt, params)
 
 

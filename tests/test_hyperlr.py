@@ -119,3 +119,33 @@ class TestConvexQuadratic:
             # alpha settles: late-window variation is tiny vs its scale
             late = np.array(alphas[-20:])
             assert np.ptp(late) <= 0.05 * late.mean(), seed
+
+
+def stepped_hyper_sgd():
+    """HyperSgd after two steps, so its state holds a prev_grad."""
+    spec, params, batch = quadratic_setup(seed=5)
+    opt = HyperSgd(params, alpha0=0.02, kappa=1e-3)
+    for _ in range(2):
+        assign_grads(spec, params, batch)
+        opt.step()
+    return opt
+
+
+@pytest.mark.parametrize("damage", [
+    lambda state: state["tensors"].update(
+        {"hyper/prev_grad": state["tensors"]["hyper/prev_grad"][:-1]}),
+    lambda state: state.pop("alpha"),
+    lambda state: state.update(alpha=-1.0),
+], ids=["prev-grad-size", "missing-alpha", "negative-alpha"])
+def test_set_state_rejects_a_state_that_does_not_fit_and_loads_nothing(damage):
+    opt = stepped_hyper_sgd()
+    state = opt.get_state()
+    damage(state)
+    fresh = stepped_hyper_sgd()
+    before = fresh.get_state()
+    with pytest.raises(StateError, match="hyper-sgd"):
+        fresh.set_state(state)
+    after = fresh.get_state()
+    assert after["alpha"] == before["alpha"]
+    assert after["tensors"]["hyper/prev_grad"] is before["tensors"]["hyper/prev_grad"]
+

@@ -36,6 +36,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from projtune.bench.cli import main as projtune  # noqa: E402
+from projtune.bench.config import METHODS  # noqa: E402
 
 BASE_CONFIG = """\
 epochs = 6
@@ -44,7 +45,6 @@ checkpoint_every = 5
 pretrain.epochs = 2
 """
 
-METHODS = ("ft", "linear-probe", "lp-ft", "l2-sp", "mars-sp", "tpgm", "ftp", "hyper-sgd")
 ADAMW = {"base": "adamw", "lr": "0.01"}
 WIDE = {"model.hidden": "512,512", "seed": "11"}
 
