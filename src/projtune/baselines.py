@@ -281,11 +281,11 @@ class TpgmOptimizer(ProjectedOptimizer):
 
     ``val_batches`` gives each step its list of validation batches; a step
     takes the next item only when it runs, so a generator can draw them
-    lazily. After the base update, the first ``inner_iters`` batches of the step's list refine the
-    per-tensor radii: each inner iteration projects the frozen unconstrained
-    weights with the current radii, evaluates the validation gradient there
-    (one extra forward+backward), chains it through the projection, and
-    applies an Adam step to every radius. The final radii then project the
+    lazily. After the base update, the first ``inner_iters`` batches of the
+    step's list refine the per-tensor radii: each inner iteration projects
+    the frozen unconstrained weights with the current radii, evaluates the
+    validation gradient there (one extra forward+backward), chains it
+    through the projection, and applies an Adam step to every radius. The final radii then project the
     unconstrained weights into place. The probe of each projected block
     lives in its own array, which the validation gradient then overwrites.
     """

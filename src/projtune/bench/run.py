@@ -212,7 +212,7 @@ _METHODS = {
 
 def _val_batches(root: SeededRng, iterations: range, split: Optional[Split],
                  config: ExperimentConfig):
-    """For each of ``iterations``, ``tpgm.inner_iters`` batches of ``split``, drawn when asked for."""
+    """Per iteration, ``tpgm.inner_iters`` batches of ``split``, each list drawn when read."""
     for rngs in root.streams(_TAG_VAL, iterations, width=config.tpgm_inner_iters):
         yield [draw_batch(rng, split, config.batch_size) for rng in rngs]
 
