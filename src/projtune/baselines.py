@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ftp import (
+    GAMMA_INIT,
     GammaState,
     ManagedParam,
     ProjectedOptimizer,
@@ -298,10 +299,7 @@ class TpgmOptimizer(ProjectedOptimizer):
         val_batches: Iterable[Sequence[Batch]],
         inner_iters: int = 1,
         exclude_set: Iterable[str] = (),
-        mu: float = 1e-2,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        gamma_init: float = 1e-8,
+        gamma_init: float = GAMMA_INIT,
     ):
         if inner_iters < 0:
             raise ConfigError(f"inner_iters must be nonnegative, got {inner_iters}")
@@ -309,11 +307,7 @@ class TpgmOptimizer(ProjectedOptimizer):
         self.grad_fn = grad_fn
         self.val_batches = iter(val_batches)
         self.inner_iters = int(inner_iters)
-        self.gammas = {
-            name: GammaState(gamma=gamma_init, kappa=1.0, mu=mu, beta1=betas[0], beta2=betas[1],
-                             eps=eps)
-            for name in self.views
-        }
+        self.gammas = {name: GammaState(gamma=gamma_init) for name in self.views}
         self._probes = [np.empty_like(b.value) for b in self._projected]
         self._probe_strips = [b.cut(probe) for b, probe in zip(self._projected, self._probes)]
         self._value_strips = [b.cut(b.value) for b in self._projected]

@@ -89,11 +89,14 @@ def cmd_audit(args) -> int:
 
 def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
+    if not (methods and seeds and all(s.isdecimal() for s in seeds)):
+        raise ConfigError(f"sweep needs methods and nonnegative integer seeds, got --methods "
+                          f"{args.methods!r} --seeds {args.seeds!r}")
     base_overrides = _overrides(args.set)
     rows = []
     root = Path(args.outdir)
-    for seed in seeds:
+    for seed in map(int, seeds):
         pre_path = root / f"pretrain-seed{seed}.ckpt"
         for method in methods:
             overrides = dict(base_overrides)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from ..errors import ConfigError
+from ..hyperlr import HyperLrState
 from .data import DatasetSpec
 
 __all__ = ["ExperimentConfig", "METHODS", "load_config", "parse_config_text"]
@@ -69,8 +70,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
-        if self.checkpoint_every < 0:
-            raise ConfigError("checkpoint_every must be nonnegative")
+        if self.seed < 0 or self.checkpoint_every < 0:
+            raise ConfigError(f"seed and checkpoint_every must be nonnegative, got "
+                              f"{self.seed} and {self.checkpoint_every}")
+        HyperLrState(self.hyper_alpha0, self.hyper_kappa)  # checks hyper.alpha0 and hyper.kappa
         if self.wise_ratio is not None and not 0.0 <= self.wise_ratio <= 1.0:
             raise ConfigError(f"wise.ratio must lie in [0, 1], got {self.wise_ratio}")
         if self.method == "hyper-sgd":

@@ -10,7 +10,8 @@ receive the base optimizer step, bit-identically to running it standalone.
 
 The base stepping, the measurement of each update, the projection and the
 constraint check live in :class:`ProjectedOptimizer`, which every projecting
-method (and base-only fine-tuning) extends with its own choice of radii. It
+method (and base-only fine-tuning) extends with its own choice of radii, and
+the learned-rate SGD of :mod:`projtune.hyperlr` with its choice of rate. It
 keeps the tensors in one block per row width, so each of these runs once per
 block rather than once per tensor.
 """
@@ -79,7 +80,6 @@ class ManagedParam:
     name: str
     value: np.ndarray
     anchor: np.ndarray
-    projectable: bool = True
     prev_unconstrained: Optional[np.ndarray] = None
     grad: Optional[np.ndarray] = None
 
@@ -95,19 +95,10 @@ class ManagedParam:
 def make_managed(
     values: dict[str, np.ndarray],
     anchors: Optional[dict[str, np.ndarray]] = None,
-    projectable: Optional[Iterable[str]] = None,
 ) -> dict[str, ManagedParam]:
-    """Wrap plain named tensors into managed params.
-
-    Anchors default to copies of the current values; ``projectable`` limits
-    which names participate in projection (default: all).
-    """
+    """Wrap plain named tensors into managed params; anchors default to copies of the values."""
     if anchors is None:
         anchors = {name: np.array(v, copy=True) for name, v in values.items()}
-    proj = set(values) if projectable is None else set(projectable)
-    unknown = proj - set(values)
-    if unknown:
-        raise ConfigError(f"projectable names not in params: {sorted(unknown)}")
     out = {}
     for name, v in values.items():
         if name not in anchors:
@@ -116,7 +107,6 @@ def make_managed(
             name=name,
             value=np.array(v, dtype=np.float64, copy=True),
             anchor=np.array(anchors[name], dtype=np.float64, copy=True),
-            projectable=name in proj,
         )
     return out
 
@@ -186,7 +176,6 @@ def hyper_gradient(
     prev_unconstrained: Optional[np.ndarray],
     anchor: np.ndarray,
     gamma: float | np.ndarray,
-    eps_div: float = EPS_DIV,
     *,
     delta: Optional[np.ndarray] = None,
     dist: Optional[np.ndarray] = None,
@@ -222,7 +211,7 @@ def hyper_gradient(
             f"hyper_gradient expects matching 2-D shapes, got {g.shape}/{wt.shape}/{w0.shape}"
         )
     delta, dist = resolve_displacement(wt, w0, delta, dist)
-    active = (dist > gamma) & (dist >= eps_div)
+    active = (dist > gamma) & (dist >= EPS_DIV)
     if scratch is None or len(scratch) == len(g):
         num = np.multiply(g, delta, out=scratch).sum(axis=1)
     else:
@@ -412,9 +401,9 @@ class ProjectedOptimizer:
     which writes the stepped ``value[rows]`` into ``out[rows]`` and steps a
     key's rows in ranges as :func:`projtune.baselines.begins_step` says, and
     a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
-    whose state is this optimizer's state. Every tensor that is projectable
-    and not in ``exclude_set`` is projected around its anchor; the rest
-    receive only the base step, bit-identically to running it standalone.
+    whose state is this optimizer's state. Every tensor not in
+    ``exclude_set`` is projected around its anchor; the rest receive only
+    the base step, bit-identically to running it standalone.
 
     The tensors live in blocks (:class:`_Block`): one per row width of the
     projected tensors, and one column for all the rest. The base step, the
@@ -426,7 +415,8 @@ class ProjectedOptimizer:
     tensor's scalar sums run over its own rows. The base optimizer sees one
     key per block; :meth:`get_state` and :meth:`set_state` speak per tensor.
 
-    Subclasses differ only in how they choose each tensor's radius. Their
+    Subclasses differ only in how they choose each tensor's radius, or, in
+    :class:`projtune.hyperlr.HyperSgd`, the base optimizer's rate. Their
     ``step`` checks the gradients and adopts the params' arrays
     (:meth:`_gather`), sets the radii (learned ones live in ``gammas``;
     :meth:`radius` reads them), base-steps and projects every block
@@ -443,7 +433,7 @@ class ProjectedOptimizer:
         self.views: dict[str, ProjectionView] = {
             name: canonicalize(p.value, name=name)
             for name, p in params.items()
-            if p.projectable and name not in exclude
+            if name not in exclude
         }
         self.gammas: dict[str, GammaState] = {}
         groups: dict[str, list[ProjectionView]] = {}
@@ -680,17 +670,10 @@ class FtpOptimizer(ProjectedOptimizer):
         base,
         k: float = 1.0,
         exclude_set: Iterable[str] = (),
-        mu: float = 1e-2,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         gamma_init: float = GAMMA_INIT,
     ):
         super().__init__(params, base, exclude_set)
-        self.gammas = {
-            name: GammaState(gamma=gamma_init, kappa=k, mu=mu, beta1=betas[0], beta2=betas[1],
-                             eps=eps)
-            for name in self.views
-        }
+        self.gammas = {name: GammaState(gamma=gamma_init, kappa=k) for name in self.views}
 
     def step(self) -> None:
         """One optimization step; consumes the gradients stored on the params.

@@ -9,13 +9,15 @@ the learning rate instead of a constraint radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .baselines import Sgd
 from .errors import ConfigError, StateError
-from .ftp import ManagedParam, state_tensors
+from .ftp import ManagedParam, ProjectedOptimizer, state_tensors
 
 __all__ = ["ALPHA_FLOOR", "HyperLrState", "HyperSgd", "hyper_sgd_lr_step"]
 
@@ -30,55 +32,57 @@ class HyperLrState:
     prev_grad: Optional[np.ndarray] = None  # flattened gradient from the previous step
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError(f"initial learning rate must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"hyper.alpha0 must be finite and positive, got {self.alpha}")
+        if not (math.isfinite(self.kappa_lr) and self.kappa_lr >= 0):
+            raise ConfigError(f"hyper.kappa must be finite and nonnegative, got {self.kappa_lr}")
 
 
-def _flatten_grads(params: dict[str, ManagedParam]) -> np.ndarray:
+def _advance_alpha(state: HyperLrState, g_flat: np.ndarray) -> float:
+    """The rate rule: move ``state.alpha`` by kappa * <g_t, g_{t-1}>, floored; return it.
+
+    The first step, with no previous gradient, keeps the rate.
+    """
+    if state.prev_grad is not None:
+        alpha = state.alpha + state.kappa_lr * float(np.dot(g_flat, state.prev_grad))
+        state.alpha = alpha if alpha > ALPHA_FLOOR else ALPHA_FLOOR
+    return state.alpha
+
+
+def hyper_sgd_lr_step(state: HyperLrState, params: dict[str, ManagedParam]) -> None:
+    """One step: update alpha from the gradient alignment, then step the weights."""
     chunks = []
     for name, p in params.items():
         if p.grad is None:
             raise StateError(f"gradient missing for {name}")
         chunks.append(np.asarray(p.grad, dtype=np.float64).reshape(-1))
-    return np.concatenate(chunks)
-
-
-def hyper_sgd_lr_step(state: HyperLrState, params: dict[str, ManagedParam]) -> None:
-    """One step: update alpha from the gradient alignment, then step the weights."""
-    g_flat = _flatten_grads(params)
-    if state.prev_grad is not None:
-        dot = float(np.dot(g_flat, state.prev_grad))
-        alpha = state.alpha + state.kappa_lr * dot
-        state.alpha = alpha if alpha > ALPHA_FLOOR else ALPHA_FLOOR
+    g_flat = np.concatenate(chunks)
+    alpha = _advance_alpha(state, g_flat)
     for p in params.values():
-        p.value = p.value - state.alpha * p.grad
+        p.value = p.value - alpha * p.grad
         p.grad = None
     state.prev_grad = g_flat
 
 
-class HyperSgd:
-    """Optimizer wrapper around :func:`hyper_sgd_lr_step`.
+class HyperSgd(ProjectedOptimizer):
+    """SGD whose rate follows :func:`hyper_sgd_lr_step`'s rule, in one unprojected block.
 
     Config keys: ``hyper.alpha0`` (initial learning rate) and ``hyper.kappa``
-    (hyper learning rate; 0 reproduces fixed-lr SGD bit-for-bit).
+    (hyper learning rate; 0 reproduces fixed-lr SGD bit-for-bit). Every
+    tensor is in ``exclude_set``, so the block's gradient column is the
+    flattened gradient of all params, and the base :class:`Sgd` steps it at
+    the current rate.
     """
 
     def __init__(self, params: dict[str, ManagedParam], alpha0: float, kappa: float):
-        self.params = params
         self.state = HyperLrState(alpha=float(alpha0), kappa_lr=float(kappa))
-        # nothing is projected, and gradients arrive as fresh arrays
-        self.gammas: dict = {}
-        self.grad_views = None
+        super().__init__(params, Sgd(self.state.alpha), exclude_set=params)
+        self._grad_flat = self._blocks[0].grad.reshape(-1)
+        self._prev_grad = np.empty_like(self._grad_flat)
 
     @property
     def alpha(self) -> float:
         return self.state.alpha
-
-    def gamma_values(self) -> dict[str, float]:
-        return {}
-
-    def constraint_excess(self) -> None:
-        return None
 
     def get_state(self) -> dict:
         prev = self.state.prev_grad
@@ -89,12 +93,16 @@ class HyperSgd:
         """Load ``state``; StateError, with nothing loaded, if it does not fit these params."""
         prev = state_tensors(state, "hyper-sgd").get("hyper/prev_grad")
         alpha = float(state.get("alpha", 0.0))
-        size = sum(p.value.size for p in self.params.values())
-        if not alpha > 0 or (prev is not None and np.shape(prev) != (size,)):
+        if not alpha > 0 or (prev is not None and np.shape(prev) != self._grad_flat.shape):
             raise StateError(f"hyper-sgd state (alpha {state.get('alpha')!r}, prev_grad shape "
-                             f"{np.shape(prev)}) needs alpha > 0 and shape ({size},)")
+                             f"{np.shape(prev)}) needs alpha > 0 and shape {self._grad_flat.shape}")
         self.state.alpha = alpha
-        self.state.prev_grad = None if prev is None else np.asarray(prev)
+        self.state.prev_grad = None if prev is None else np.array(prev, dtype=np.float64)
 
     def step(self) -> None:
-        hyper_sgd_lr_step(self.state, self.params)
+        self._gather()
+        self.base.lr = _advance_alpha(self.state, self._grad_flat)
+        np.copyto(self._prev_grad, self._grad_flat)
+        self.state.prev_grad = self._prev_grad
+        self._base_step()
+        self._commit()

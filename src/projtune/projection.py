@@ -116,9 +116,7 @@ def resolve_displacement(wt, w0, delta, dist) -> tuple[np.ndarray, np.ndarray]:
     return delta, dist
 
 
-def project_rows(
-    w_tilde, w_anchor, gamma, eps_div: float = EPS_DIV, *, delta=None, dist=None, out=None
-) -> np.ndarray:
+def project_rows(w_tilde, w_anchor, gamma, *, delta=None, dist=None, out=None) -> np.ndarray:
     """Project each row of ``w_tilde`` into the gamma L1-ball around the anchor row.
 
     Returns a matrix whose rows satisfy ``|row - anchor_row|_1 <= gamma``
@@ -145,7 +143,7 @@ def project_rows(
         raise DomainError(f"projection radius must be nonnegative, got {gamma}")
     delta, dist = resolve_displacement(wt, w0, delta, dist)
 
-    factor = radius / np.maximum(dist, eps_div)
+    factor = radius / np.maximum(dist, EPS_DIV)
     shrink = factor < 1.0
     shrunk = np.count_nonzero(shrink)
     if not shrunk:

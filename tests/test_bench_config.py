@@ -111,6 +111,20 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             ExperimentConfig(checkpoint_every=-1)
 
+    def test_negative_seed_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config_text("seed = -1\n")
+
+    @pytest.mark.parametrize("method", ["ft", "hyper-sgd"])
+    @pytest.mark.parametrize("key, value", [
+        ("hyper.alpha0", "inf"), ("hyper.alpha0", "nan"), ("hyper.alpha0", "0"),
+        ("hyper.alpha0", "-1"), ("hyper.kappa", "nan"), ("hyper.kappa", "inf"),
+        ("hyper.kappa", "-5"),
+    ])
+    def test_bad_hyper_value_rejected_at_load(self, method, key, value):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"method = {method}\n{key} = {value}\n")
+
 
 class TestHyperSgdBaseKeys:
     # hyper-sgd learns its own rate, so a base optimizer key it would ignore is an error

@@ -70,6 +70,15 @@ class TestPretrainFinetune:
         assert err.startswith("error: resume checkpoint")
 
 
+    def test_non_finite_hyper_kappa_is_clean_error_before_any_run(self, tmp_path, conf_file,
+                                                                 capsys):
+        outdir = tmp_path / "hyper"
+        assert run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}",
+                       "--set", "method=hyper-sgd", "--set", "hyper.kappa=nan") == 2
+        assert "hyper.kappa" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
 class TestEvaluateAudit:
     @pytest.fixture
     def finished_run(self, tmp_path, conf_file):
@@ -131,3 +140,14 @@ class TestSweep:
         # anchors are shared per seed
         assert (outdir / "pretrain-seed0.ckpt").exists()
         assert (outdir / "pretrain-seed1.ckpt").exists()
+
+    @pytest.mark.parametrize("methods, seeds", [
+        ("", "0"), (" , ", "0"), ("ft", ""), ("ft", "a"), ("ft", "0,1.5"),
+    ], ids=["empty-methods", "blank-methods", "empty-seeds", "letter-seed", "float-seed"])
+    def test_bad_method_or_seed_list_is_clean_error_before_any_run(self, tmp_path, conf_file,
+                                                                   methods, seeds, capsys):
+        outdir = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", conf_file, "--methods", methods, "--seeds", seeds,
+                       "--outdir", outdir) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not outdir.exists()

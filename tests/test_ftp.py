@@ -365,7 +365,3 @@ class TestManagedParam:
         params = make_managed(values)
         np.testing.assert_array_equal(params["w"].anchor, values["w"])
         assert params["w"].anchor is not values["w"]
-
-    def test_make_managed_unknown_projectable(self):
-        with pytest.raises(ConfigError):
-            make_managed({"w": np.zeros(2)}, projectable=["ghost"])

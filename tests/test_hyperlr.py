@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,13 @@ class TestAlphaUpdate:
         with pytest.raises(ConfigError):
             HyperLrState(alpha=0.0, kappa_lr=0.1)
 
+    @pytest.mark.parametrize("alpha, kappa", [
+        (math.inf, 0.1), (0.1, math.nan), (0.1, math.inf), (0.1, -5.0),
+    ], ids=["alpha-inf", "kappa-nan", "kappa-inf", "kappa-negative"])
+    def test_non_finite_alpha_or_bad_kappa_rejected(self, alpha, kappa):
+        with pytest.raises(ConfigError, match="hyper.alpha0" if kappa == 0.1 else "hyper.kappa"):
+            HyperLrState(alpha=alpha, kappa_lr=kappa)
+
 
 class TestSignLaw:
     def test_strict_increase_iff_positive_dot(self):
@@ -101,6 +110,34 @@ class TestSignLaw:
         assert hyper.alpha == 0.05
         for name in params_a:
             np.testing.assert_array_equal(params_a[name].value, params_b[name].value)
+
+
+    def test_block_step_matches_the_reference_step_bitwise(self):
+        spec = MlpSpec(widths=(4, 6, 3), activations=("tanh",), loss="softmax_ce")
+        rng = SeededRng(11)
+        values = init_params(spec, rng.derive(0))
+        batches = [Batch(rng.derive(1 + i).normal((8, 4)),
+                         np.asarray(rng.derive(9 + i).integers(0, 3, size=8))) for i in range(5)]
+        params = make_managed(values)
+        clone = make_managed(values)
+        opt = HyperSgd(params, alpha0=0.05, kappa=1e-3)
+        state = HyperLrState(alpha=0.05, kappa_lr=1e-3)
+        assert set(opt.grad_views) == set(params)
+        alphas = set()
+        for t in range(50):
+            batch = batches[t % len(batches)]
+            _, grads = backward(spec, {n: p.value for n, p in params.items()}, batch,
+                                out=opt.grad_views)
+            for name, p in params.items():
+                p.grad = grads[name]
+            assign_grads(spec, clone, batch)
+            opt.step()
+            hyper_sgd_lr_step(state, clone)
+            assert opt.alpha == state.alpha, t
+            for name in params:
+                assert params[name].value.tobytes() == clone[name].value.tobytes(), (t, name)
+            alphas.add(opt.alpha)
+        assert len(alphas) > 2  # the rate moved
 
 
 class TestConvexQuadratic:
