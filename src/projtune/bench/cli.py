@@ -11,7 +11,7 @@ from ..audit import mixed_pair_sampler, verify_lemma1_bound
 from ..errors import ConfigError, DomainError, PersistenceError, RunError
 from ..numerics import SeededRng
 from .checkpoint import load_checkpoint
-from .config import load_config
+from .config import METHODS, load_config
 from .data import generate_shift_dataset
 from .run import evaluate, pretrain, run_experiment
 
@@ -90,9 +90,10 @@ def cmd_audit(args) -> int:
 def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = [s.strip() for s in args.seeds.split(",") if s.strip()]
-    if not (methods and seeds and all(s.isdecimal() for s in seeds)):
-        raise ConfigError(f"sweep needs methods and nonnegative integer seeds, got --methods "
-                          f"{args.methods!r} --seeds {args.seeds!r}")
+    if not (methods and set(methods) <= set(METHODS) and seeds
+            and all(s.isdecimal() for s in seeds)):
+        raise ConfigError(f"sweep needs methods from {METHODS} and nonnegative integer seeds, "
+                          f"got --methods {args.methods!r} --seeds {args.seeds!r}")
     base_overrides = _overrides(args.set)
     rows = []
     root = Path(args.outdir)

@@ -85,6 +85,7 @@ class HyperSgd(ProjectedOptimizer):
         return self.state.alpha
 
     def get_state(self) -> dict:
+        """The rate and the last gradient; the next step overwrites that array, so save it first."""
         prev = self.state.prev_grad
         return {"kind": "hyper-sgd", "alpha": self.state.alpha,
                 "tensors": {} if prev is None else {"hyper/prev_grad": prev}}
@@ -93,9 +94,10 @@ class HyperSgd(ProjectedOptimizer):
         """Load ``state``; StateError, with nothing loaded, if it does not fit these params."""
         prev = state_tensors(state, "hyper-sgd").get("hyper/prev_grad")
         alpha = float(state.get("alpha", 0.0))
-        if not alpha > 0 or (prev is not None and np.shape(prev) != self._grad_flat.shape):
+        shape = self._grad_flat.shape
+        if not 0 < alpha < math.inf or (prev is not None and np.shape(prev) != shape):
             raise StateError(f"hyper-sgd state (alpha {state.get('alpha')!r}, prev_grad shape "
-                             f"{np.shape(prev)}) needs alpha > 0 and shape {self._grad_flat.shape}")
+                             f"{np.shape(prev)}) needs a finite alpha > 0 and shape {shape}")
         self.state.alpha = alpha
         self.state.prev_grad = None if prev is None else np.array(prev, dtype=np.float64)
 

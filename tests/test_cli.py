@@ -69,7 +69,6 @@ class TestPretrainFinetune:
         err = capsys.readouterr().err
         assert err.startswith("error: resume checkpoint")
 
-
     def test_non_finite_hyper_kappa_is_clean_error_before_any_run(self, tmp_path, conf_file,
                                                                  capsys):
         outdir = tmp_path / "hyper"
@@ -142,8 +141,9 @@ class TestSweep:
         assert (outdir / "pretrain-seed1.ckpt").exists()
 
     @pytest.mark.parametrize("methods, seeds", [
-        ("", "0"), (" , ", "0"), ("ft", ""), ("ft", "a"), ("ft", "0,1.5"),
-    ], ids=["empty-methods", "blank-methods", "empty-seeds", "letter-seed", "float-seed"])
+        ("", "0"), (" , ", "0"), ("ft,fpt", "0"), ("ft", ""), ("ft", "a"), ("ft", "0,1.5"),
+    ], ids=["empty-methods", "blank-methods", "unknown-method", "empty-seeds", "letter-seed",
+            "float-seed"])
     def test_bad_method_or_seed_list_is_clean_error_before_any_run(self, tmp_path, conf_file,
                                                                    methods, seeds, capsys):
         outdir = tmp_path / "sweep"

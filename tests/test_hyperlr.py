@@ -111,7 +111,6 @@ class TestSignLaw:
         for name in params_a:
             np.testing.assert_array_equal(params_a[name].value, params_b[name].value)
 
-
     def test_block_step_matches_the_reference_step_bitwise(self):
         spec = MlpSpec(widths=(4, 6, 3), activations=("tanh",), loss="softmax_ce")
         rng = SeededRng(11)
@@ -173,7 +172,8 @@ def stepped_hyper_sgd():
         {"hyper/prev_grad": state["tensors"]["hyper/prev_grad"][:-1]}),
     lambda state: state.pop("alpha"),
     lambda state: state.update(alpha=-1.0),
-], ids=["prev-grad-size", "missing-alpha", "negative-alpha"])
+    lambda state: state.update(alpha=math.inf),
+], ids=["prev-grad-size", "missing-alpha", "negative-alpha", "infinite-alpha"])
 def test_set_state_rejects_a_state_that_does_not_fit_and_loads_nothing(damage):
     opt = stepped_hyper_sgd()
     state = opt.get_state()
