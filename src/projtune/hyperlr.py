@@ -99,7 +99,7 @@ class HyperSgd(ProjectedOptimizer):
             raise StateError(f"hyper-sgd state (alpha {state.get('alpha')!r}, prev_grad shape "
                              f"{np.shape(prev)}) needs a finite alpha > 0 and shape {shape}")
         self.state.alpha = alpha
-        self.state.prev_grad = None if prev is None else np.array(prev, dtype=np.float64)
+        self.state.prev_grad = None if prev is None else np.asarray(prev)
 
     def step(self) -> None:
         self._gather()
