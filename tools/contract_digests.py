@@ -7,8 +7,10 @@ Usage, from the repository root::
 Each configuration fine-tunes the default 8-16-16-4 model with a checkpoint
 every 5 iterations, then resumes a second run from the middle one of those
 checkpoints. The ``-wide`` configurations fine-tune an 8-512-512-4 model
-instead, whose 518-row block of width 512 steps in several strips; they have
-a seed of their own, because configurations of one seed share its anchor.
+instead, whose 518-row block of width 512 steps in several strips, and so
+does the 269,316-row column that holds every tensor of ``ft`` and ``hyper-sgd``;
+they have a seed of their own, because configurations of one seed share its
+anchor.
 For both runs it hashes ``metrics.csv`` and ``metrics.json``
 without their wall-clock column ``secs_per_iter``, ``summary.json``, every
 ``.ckpt`` file, and the outputs of ``projtune evaluate`` and ``projtune audit``
@@ -62,6 +64,9 @@ CONFIGURATIONS: dict[str, dict[str, str]] = {
     "ftp-seed3": {"method": "ftp", "seed": "3"},
     "ftp-adamw-wide": {"method": "ftp", **ADAMW, **WIDE},
     "tpgm-sgd-wide": {"method": "tpgm", **WIDE},
+    "ft-sgd-wide": {"method": "ft", **WIDE},
+    "ft-adamw-wide": {"method": "ft", **ADAMW, **WIDE},
+    "hyper-sgd-wide": {"method": "hyper-sgd", **WIDE},
 }
 
 WALL_CLOCK = "secs_per_iter"
