@@ -10,7 +10,7 @@ linear probing).
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,29 +38,12 @@ __all__ = [
     "MarsSpOptimizer",
     "Sgd",
     "TpgmOptimizer",
-    "begins_step",
     "freeze_mask",
     "l2_sp_grad",
     "make_base_optimizer",
     "wise_interpolate",
     "wise_interpolate_params",
 ]
-
-
-def begins_step(rows: Optional[slice]) -> bool:
-    """Whether a base step of the row range ``rows`` (None: every row) begins a step.
-
-    A base optimizer may step a tensor's rows in ranges: one step calls
-    ``step`` once per range, in order from row 0, so the range that starts at
-    row 0 begins the step (it creates missing buffers and advances counts).
-    Each range then updates only its own rows of every buffer.
-    """
-    return rows is None or not rows.start
-
-
-def _row_range(rows: slice, *arrays):
-    """The rows ``rows`` of each of ``arrays``; None stays None."""
-    return tuple(None if arr is None else arr[rows] for arr in arrays)
 
 
 class Sgd:
@@ -84,33 +67,16 @@ class Sgd:
         self.weight_decay = float(weight_decay)
         self.nesterov = bool(nesterov)
         self.velocity: dict[str, np.ndarray] = {}
-        # whether each key's buffer was created by the step in progress
-        self._fresh: dict[str, bool] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
-             rows: Optional[slice] = None) -> np.ndarray:
-        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given.
-
-        With ``rows``, only those rows are stepped and returned (in
-        ``out[rows]``). A step split into row ranges (:func:`begins_step`)
-        gives the bits of one whole-array step.
-        """
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
-        if self.momentum and begins_step(rows):
-            fresh = name not in self.velocity
-            if fresh:
-                self.velocity[name] = np.empty(value.shape)
-            self._fresh[name] = fresh
-        if rows is not None:
-            value, grad, out = _row_range(rows, value, grad, out)
         g = grad + self.weight_decay * value if self.weight_decay else grad
         if self.momentum:
-            buf = self.velocity[name]
-            if rows is not None:
-                buf = buf[rows]
-            if self._fresh[name]:
-                np.copyto(buf, g)
+            buf = self.velocity.get(name)
+            if buf is None:
+                buf = self.velocity[name] = g.copy()
             else:
                 buf *= self.momentum
                 buf += g
@@ -148,44 +114,26 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
-        # whether each key's m and v were created by the step in progress
-        self._fresh: dict[str, tuple[bool, bool]] = {}
 
-    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None,
-             rows: Optional[slice] = None) -> np.ndarray:
-        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given.
-
-        With ``rows``, only those rows are stepped and returned (in
-        ``out[rows]``). A step split into row ranges (:func:`begins_step`)
-        gives the bits of one whole-array step; its first range advances the
-        step count.
-        """
+    def step(self, name: str, value: np.ndarray, grad: np.ndarray, out=None) -> np.ndarray:
+        """The stepped ``value``, in ``out`` (which must not overlap ``value``) if given."""
         if value.shape != grad.shape:
             raise DomainError(f"{name}: grad shape {grad.shape} != value shape {value.shape}")
-        if begins_step(rows):
-            self.t[name] = self.t.get(name, 0) + 1
-            fresh = name not in self.m, name not in self.v
-            for moments, new in zip((self.m, self.v), fresh):
-                if new:
-                    moments[name] = np.empty(value.shape)
-            self._fresh[name] = fresh
-        t = self.t[name]
-        fresh_m, fresh_v = self._fresh[name]
-        m, v = self.m[name], self.v[name]
-        if rows is not None:
-            value, grad, out, m, v = _row_range(rows, value, grad, out, m, v)
+        t = self.t[name] = self.t.get(name, 0) + 1
         w = value * (1.0 - self.lr * self.weight_decay) if self.weight_decay else value
         # the moments advance in place, in the operation order of
         # beta1 * m + (1 - beta1) * grad and beta2 * v + (1 - beta2) * grad * grad
-        if fresh_m:
-            np.multiply(1.0 - self.beta1, grad, out=m)
+        m = self.m.get(name)
+        if m is None:
+            m = self.m[name] = np.multiply(1.0 - self.beta1, grad)
         else:
             m *= self.beta1
             m += (1.0 - self.beta1) * grad
         scaled = np.multiply(grad, 1.0 - self.beta2)
         scaled *= grad
-        if fresh_v:
-            np.copyto(v, scaled)
+        v = self.v.get(name)
+        if v is None:
+            v = self.v[name] = scaled.copy()
         else:
             v *= self.beta2
             v += scaled
@@ -217,13 +165,11 @@ def make_base_optimizer(
     momentum: float = 0.0,
     weight_decay: float = 0.0,
     nesterov: bool = False,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
 ):
     if kind == "sgd":
         return Sgd(lr, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
     if kind == "adamw":
-        return AdamW(lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        return AdamW(lr, weight_decay=weight_decay)
     raise ConfigError(f"unknown base optimizer {kind!r}; choose 'sgd' or 'adamw'")
 
 

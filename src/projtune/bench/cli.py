@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, PersistenceError, RunError) as exc:
+    except (ConfigError, DomainError, PersistenceError, RunError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

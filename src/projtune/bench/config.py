@@ -9,6 +9,7 @@ parameter name".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -68,6 +69,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
+        bad = {key: v for key, v in self.to_dict().items() if isinstance(v, float)
+               and not math.isfinite(v) and not (key == "mars_sp.gamma" and v == math.inf)}
+        if bad:
+            raise ConfigError(f"{', '.join(bad)} must be finite (mars_sp.gamma may be inf), "
+                              f"got {bad}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if self.seed < 0 or self.checkpoint_every < 0:

@@ -69,17 +69,6 @@ class DatasetSpec:
             means[c, 1] = self.mean_radius * math.sin(angle)
         return means
 
-    def canonical(self) -> dict:
-        return {
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "n_classes": self.n_classes,
-            "n_features": self.n_features,
-            "cluster_spread": self.cluster_spread,
-            "nuisance_scale": self.nuisance_scale,
-            "mean_radius": self.mean_radius,
-        }
-
 
 @dataclass
 class Split:

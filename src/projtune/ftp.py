@@ -270,20 +270,24 @@ def rebase_anchor(
 
 
 class _Strip(NamedTuple):
-    """One strip of a block: its rows and, in a projected block, its views of the arrays.
+    """One strip of a block: its rows, its base-optimizer key and its views of the arrays.
 
-    ``rows`` is the row range the base step takes, None when the strip is
-    the whole block. The views are built once with the block.
+    ``key`` is the block's key in a one-strip block, else the block's key and
+    the strip's first row, such as ``rows512:64``. The views are built once
+    with the block; ``value`` and the fields after it exist in a projected
+    block only.
     """
 
-    rows: Optional[slice]
+    key: str
+    rows: slice
+    grad: np.ndarray
+    updates: tuple
     value: Optional[np.ndarray] = None
     anchor: Optional[np.ndarray] = None
     delta: Optional[np.ndarray] = None
     dist: Optional[np.ndarray] = None
     radius: Optional[np.ndarray] = None
     scratch: Optional[np.ndarray] = None
-    updates: tuple = ()
 
     def measure(self, w_tilde: np.ndarray, scratch: np.ndarray) -> None:
         """Put the displacement of the strip ``w_tilde`` in ``delta`` and ``dist``.
@@ -306,26 +310,27 @@ class _Block:
     rows of about :data:`STRIP_BYTES` per array: the base step, the
     measurement and the projection of one strip all run before the next
     strip starts, so each strip is reused while it sits in cache. A block no
-    larger than that is one strip. Every result is row-wise or summed per
-    row, so the strips give the bits of whole-block passes.
+    larger than that is one strip. The base optimizer steps each strip under
+    a key of its own, so its buffers are strips too. Every result is
+    row-wise or summed per row, so the strips give the bits of whole-block
+    passes.
 
     The base step writes each update into the other of the two ``updates``
-    buffers, whose member views (``update_views``) are built once. The last
-    update is a projected block's ``prev_unconstrained`` and the unprojected
-    block's ``value``; a projected block projects it into its own ``value``.
-    ``delta``, ``dist`` and ``measured`` cache the
-    :func:`~projtune.projection.row_displacement` of ``prev_unconstrained``
-    from ``anchor``; ``scratch``, one strip tall, holds temporaries that
+    buffers, whose member views (``update_views``) are built once. The
+    members hold the last update as ``prev_unconstrained`` in a projected
+    block, which projects it into its own ``value``, and as ``value`` in the
+    unprojected one. ``delta``, ``dist`` and ``measured`` cache the
+    :func:`~projtune.projection.row_displacement` of the last update from
+    ``anchor``; ``scratch``, one strip tall, holds temporaries that
     never leave a strip, ``radius`` each row's projection radius and
     ``radii`` the radius each member's rows were last set to.
     """
 
-    __slots__ = ("key", "layout", "slices", "strips", "projected", "value", "grad", "anchor",
-                 "updates", "update_views", "views", "prev_unconstrained", "delta", "dist",
-                 "scratch", "radius", "radii", "measured")
+    __slots__ = ("layout", "slices", "strips", "projected", "value", "grad", "anchor",
+                 "updates", "update_views", "views", "delta", "dist", "scratch", "radius",
+                 "radii", "measured")
 
     def __init__(self, key: str, layout: list[ProjectionView], projected: bool):
-        self.key = key
         self.layout = {view.name: view for view in layout}
         self.slices: dict[str, slice] = {}
         rows = 0
@@ -345,26 +350,25 @@ class _Block:
         if projected:
             self.value = np.zeros(shape)
             self.anchor = np.zeros(shape)
-            self.prev_unconstrained = self.updates[0]
             self.delta = np.empty(shape)
             self.dist = np.empty(rows)
             self.scratch = np.empty((min(height, rows), cols))
             self.radius = np.empty(rows)
             self.radii: list = [None] * len(layout)
             self.views.update(value=self.views_of(self.value), anchor=self.views_of(self.anchor))
-            self.strips = [
-                _Strip(None if len(bounds) == 1 else span,
-                       *(arr[span] for arr in (self.value, self.anchor, self.delta, self.dist,
-                                               self.radius)),
-                       self.scratch[:span.stop - span.start], tuple(u[span] for u in self.updates))
-                for span in bounds]
-        else:
-            self.value = self.updates[0]
-            self.strips = [_Strip(None if len(bounds) == 1 else span) for span in bounds]
+        self.strips = []
+        for span in bounds:
+            views = [self.grad[span], tuple(u[span] for u in self.updates)]
+            if projected:
+                views += [arr[span] for arr in (self.value, self.anchor, self.delta, self.dist,
+                                                self.radius)]
+                views.append(self.scratch[:span.stop - span.start])
+            self.strips.append(
+                _Strip(key if len(bounds) == 1 else f"{key}:{span.start}", span, *views))
 
     def cut(self, arr: np.ndarray) -> list[np.ndarray]:
         """The block-shaped ``arr`` cut into its strips."""
-        return [arr if strip.rows is None else arr[strip.rows] for strip in self.strips]
+        return [arr[strip.rows] for strip in self.strips]
 
     def views_of(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Each member's rows of the block-shaped ``arr``, in the member's shape."""
@@ -397,10 +401,9 @@ class _Block:
 class ProjectedOptimizer:
     """A base optimizer whose updates are projected onto per-tensor MARS balls.
 
-    ``base`` is any object with ``step(key, value, grad, out=, rows=)``,
-    which writes the stepped ``value[rows]`` into ``out[rows]`` and steps a
-    key's rows in ranges as :func:`projtune.baselines.begins_step` says, and
-    a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
+    ``base`` is any object with ``step(key, value, grad, out=)``, which
+    writes the stepped ``value`` into ``out`` and keeps its buffers per key,
+    and a ``get_state``/``set_state`` pair (e.g. :class:`projtune.baselines.Sgd`),
     whose state is this optimizer's state. Every tensor not in
     ``exclude_set`` is projected around its anchor; the rest receive only
     the base step, bit-identically to running it standalone.
@@ -413,7 +416,7 @@ class ProjectedOptimizer:
     next one, and the hyper-gradient and the check sum their rows a strip at
     a time. Every row-wise result is the same bits as per tensor, and each
     tensor's scalar sums run over its own rows. The base optimizer sees one
-    key per block; :meth:`get_state` and :meth:`set_state` speak per tensor.
+    key per strip; :meth:`get_state` and :meth:`set_state` speak per tensor.
 
     Subclasses differ only in how they choose each tensor's radius, or, in
     :class:`projtune.hyperlr.HyperSgd`, the base optimizer's rate. Their
@@ -482,19 +485,25 @@ class ProjectedOptimizer:
         return {name: self.radius(name) for name in self.views}
 
     def get_state(self) -> dict:
-        """The base optimizer's state, one entry per tensor, as stepping each alone leaves it."""
-        by_key = {b.key: b for b in self._blocks}
+        """The base optimizer's state, one entry per tensor, as stepping each alone leaves it.
+
+        A block's strip buffers are joined in strip order and cut per tensor;
+        a per-key count, such as AdamW's step counts, is the first strip's.
+        """
         state = {}
         for entry, value in self.base.get_state().items():
             if entry == "tensors":
                 tensors = {}
-                for key, arr in value.items():
-                    prefix, _, block = key.partition("/")
-                    for name, view in by_key[block].views_of(arr).items():
-                        tensors[f"{prefix}/{name}"] = view
+                for prefix in dict.fromkeys(key.partition("/")[0] for key in value):
+                    for b in self._blocks:
+                        parts = [value.get(f"{prefix}/{strip.key}") for strip in b.strips]
+                        if parts[0] is not None:
+                            tensors.update((f"{prefix}/{name}", view) for name, view
+                                           in b.views_of(np.concatenate(parts)).items())
                 value = tensors
             elif isinstance(value, dict):  # a per-key count, such as AdamW's step counts
-                value = {name: n for block, n in value.items() for name in by_key[block].slices}
+                value = {name: value[b.strips[0].key] for b in self._blocks
+                         if b.strips[0].key in value for name in b.slices}
             state[entry] = value
         return state
 
@@ -511,15 +520,18 @@ class ProjectedOptimizer:
                 for key, arr in value.items():
                     prefix, _, name = key.partition("/")
                     groups.setdefault(prefix, {})[name] = arr
-                value = {f"{prefix}/{b.key}": b.fill(np.empty_like(b.value), arrays)
-                         for prefix, arrays in groups.items()
-                         for b in self._covered(arrays, prefix)}
+                value = {}
+                for prefix, arrays in groups.items():
+                    for b in self._covered(arrays, prefix):
+                        joined = b.fill(np.empty_like(b.grad), arrays)
+                        value.update((f"{prefix}/{strip.key}", joined[strip.rows])
+                                     for strip in b.strips)
             elif isinstance(value, dict):
-                counts = {b.key: {value[name] for name in b.slices}
+                counts = {b: {value[name] for name in b.slices}
                           for b in self._covered(value, entry)}
                 if any(len(c) > 1 for c in counts.values()):
                     raise StateError(f"{entry} differ between tensors that step together")
-                value = {key: c.pop() for key, c in counts.items()}
+                value = {strip.key: n for b, (n,) in counts.items() for strip in b.strips}
             blocked[entry] = value
         self.base.set_state(blocked)
 
@@ -602,14 +614,14 @@ class ProjectedOptimizer:
         step and, with ``project``, projected into ``value`` at the current
         radii.
         """
-        spare = 1 - self._turn
+        turn, spare = self._turn, 1 - self._turn
         for b in self._blocks:
-            w_tilde = b.updates[spare]
             if b.projected:
-                b.measured = False  # delta describes w_tilde until _commit stores it
+                b.measured = False  # delta describes the new update until _commit stores it
                 self._set_radii(b)
             for strip in b.strips:
-                self.base.step(b.key, b.value, b.grad, out=w_tilde, rows=strip.rows)
+                value = strip.value if b.projected else strip.updates[turn]
+                self.base.step(strip.key, value, strip.grad, out=strip.updates[spare])
                 if not b.projected:
                     continue
                 if project:
@@ -646,12 +658,8 @@ class ProjectedOptimizer:
     def _commit(self) -> None:
         """Make the updates of :meth:`_base_step` the params' arrays and consume the gradients."""
         self._turn = 1 - self._turn
-        for b in self._blocks:
-            if b.projected:
-                b.prev_unconstrained = b.updates[self._turn]
-                b.measured = True
-            else:
-                b.value = b.updates[self._turn]
+        for b in self._projected:
+            b.measured = True
         for p, field, view in self._bound[self._turn]:
             setattr(p, field, view)
 
@@ -691,7 +699,7 @@ class FtpOptimizer(ProjectedOptimizer):
             if not b.measured:
                 b.measure(self._turn)
                 b.measured = True
-            for name, raw in self._hyper_gradients(b, b.grad, b.prev_unconstrained,
+            for name, raw in self._hyper_gradients(b, b.grad, b.updates[self._turn],
                                                     live).items():
                 grads[name] = anneal_gradient(raw, self.gammas[name].kappa)
         bad = [name for name, g in grads.items() if not math.isfinite(g)]

@@ -75,6 +75,8 @@ class HyperSgd(ProjectedOptimizer):
     """
 
     def __init__(self, params: dict[str, ManagedParam], alpha0: float, kappa: float):
+        if not params:
+            raise ConfigError("hyper-sgd needs at least one tensor to step")
         self.state = HyperLrState(alpha=float(alpha0), kappa_lr=float(kappa))
         super().__init__(params, Sgd(self.state.alpha), exclude_set=params)
         self._grad_flat = self._blocks[0].grad.reshape(-1)

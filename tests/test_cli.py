@@ -3,6 +3,8 @@ import json
 import pytest
 
 from projtune.bench.cli import main
+from projtune.bench.config import parse_config_text
+from projtune.errors import ConfigError
 
 BASE_CONF = """
 method = ft
@@ -23,6 +25,40 @@ def conf_file(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def finished_run(tmp_path, conf_file):
+    outdir = tmp_path / "done"
+    run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}",
+            "--set", "method=ftp")
+    return outdir
+
+
+@pytest.mark.parametrize("case", ["missing-config", "pretrain-path-is-a-directory",
+                                  "outdir-under-a-file", "sweep-outdir-under-a-file",
+                                  "evaluate-out-in-missing-directory",
+                                  "audit-out-in-missing-directory"])
+def test_a_file_system_error_is_clean_error(case, tmp_path, conf_file, request, capsys):
+    a_file, missing = tmp_path / "a-file", tmp_path / "missing"
+    a_file.write_text("", encoding="utf-8")
+    finetune = ["finetune", "--config", conf_file, "--set", f"outdir={tmp_path / 'run'}"]
+    argv = {
+        "missing-config": lambda: ["finetune", "--config", missing / "exp.conf"],
+        "pretrain-path-is-a-directory": lambda: [*finetune, "--set", f"pretrain.path={tmp_path}"],
+        "outdir-under-a-file": lambda: [*finetune, "--set", f"outdir={a_file / 'sub'}"],
+        "sweep-outdir-under-a-file": lambda: ["sweep", "--config", conf_file, "--methods", "ft",
+                                              "--seeds", "0", "--outdir", a_file / "s"],
+        "evaluate-out-in-missing-directory": lambda: [
+            "evaluate", "--config", conf_file, "--out", missing / "table.json",
+            "--checkpoint", request.getfixturevalue("finished_run") / "state.ckpt"],
+        "audit-out-in-missing-directory": lambda: [
+            "audit", "--pairs", 50, "--out", missing / "audit.json",
+            "--checkpoint", request.getfixturevalue("finished_run") / "state.ckpt"],
+    }[case]()
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno ")
 
 
 class TestPretrainFinetune:
@@ -77,15 +113,23 @@ class TestPretrainFinetune:
         assert "hyper.kappa" in capsys.readouterr().err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("ft", "lr", "inf"), ("ft", "momentum", "nan"), ("ft", "weight_decay", "nan"),
+        ("ft", "pretrain.lr", "inf"), ("ft", "dataset.cluster_spread", "inf"),
+        ("ftp", "k", "nan"), ("mars-sp", "mars_sp.gamma", "nan"), ("l2-sp", "l2_sp.lambda", "nan"),
+    ])
+    def test_a_non_finite_float_is_clean_error_before_any_run(self, tmp_path, conf_file, method,
+                                                              key, value, capsys):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"method = {method}\n{key} = {value}\n")
+        outdir = tmp_path / "run"
+        assert run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}",
+                       "--set", f"method={method}", "--set", f"{key}={value}") == 2
+        assert key in capsys.readouterr().err
+        assert not (outdir / "pretrain.ckpt").exists()
+
 
 class TestEvaluateAudit:
-    @pytest.fixture
-    def finished_run(self, tmp_path, conf_file):
-        outdir = tmp_path / "done"
-        run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}",
-                "--set", "method=ftp")
-        return outdir
-
     def test_evaluate_checkpoint(self, tmp_path, conf_file, finished_run, capsys):
         out = tmp_path / "table.json"
         code = run_cli("evaluate", "--config", conf_file,

@@ -208,7 +208,11 @@ def assert_same_state(params, ref, opt, ref_gammas, ref_base):
     assert {n: asdict(g) for n, g in opt.gammas.items()} == {
         n: asdict(g) for n, g in ref_gammas.items()
     }
-    state, ref_state = opt.get_state(), ref_base.get_state()
+    assert_same_base_state(opt.get_state(), ref_base.get_state())
+
+
+def assert_same_base_state(state, ref_state):
+    """Two base-optimizer states have the same entries and the same tensor bits."""
     tensors, ref_tensors = state.pop("tensors"), ref_state.pop("tensors")
     assert state == ref_state
     assert tensors.keys() == ref_tensors.keys()
@@ -335,18 +339,22 @@ def test_a_radius_set_from_outside_reaches_the_next_projection_and_check(method,
         assert opt.constraint_excess() == full_excess(shadow, ref)
 
 
-@pytest.mark.parametrize("kind", ["sgd", "momentum", "nesterov", "sgd-decay", "nesterov-decay",
-                                  "adamw", "adamw-decay"])
-def test_a_base_step_into_out_gives_the_same_bits(kind):
-    def base():
-        if kind.startswith("adamw"):
-            return AdamW(lr=0.05, weight_decay=0.1 if "decay" in kind else 0.0)
-        return Sgd(lr=0.3, momentum=0.0 if kind.startswith("sgd") else 0.9,
-                   nesterov=kind.startswith("nesterov"),
-                   weight_decay=0.1 if "decay" in kind else 0.0)
+BASE_KINDS = ["sgd", "momentum", "nesterov", "sgd-decay", "nesterov-decay", "adamw",
+              "adamw-decay"]
 
+
+def base_of(kind):
+    """The base optimizer of one of :data:`BASE_KINDS`."""
+    if kind.startswith("adamw"):
+        return AdamW(lr=0.05, weight_decay=0.1 if "decay" in kind else 0.0)
+    return Sgd(lr=0.3, momentum=0.0 if kind.startswith("sgd") else 0.9,
+               nesterov=kind.startswith("nesterov"), weight_decay=0.1 if "decay" in kind else 0.0)
+
+
+@pytest.mark.parametrize("kind", BASE_KINDS)
+def test_a_base_step_into_out_gives_the_same_bits(kind):
     rng = SeededRng(13)
-    fresh, into = base(), base()
+    fresh, into = base_of(kind), base_of(kind)
     value = value_into = rng.derive(0).normal((5, 3))
     buffers = [np.full((5, 3), np.nan), np.full((5, 3), np.nan)]
     for t in range(6):
@@ -356,44 +364,37 @@ def test_a_base_step_into_out_gives_the_same_bits(kind):
         assert into.step("w", value_into, grad, out=out) is out
         value_into = out
         assert value_into.tobytes() == value.tobytes(), t
-    state, state_into = fresh.get_state(), into.get_state()
-    assert state.keys() == state_into.keys()
-    for key, arr in state.pop("tensors").items():
-        assert arr.tobytes() == state_into["tensors"][key].tobytes(), key
+    assert_same_base_state(into.get_state(), fresh.get_state())
 
 
-@pytest.mark.parametrize("kind", ["sgd", "momentum", "nesterov", "sgd-decay", "nesterov-decay",
-                                  "adamw", "adamw-decay"])
-def test_a_step_in_row_ranges_gives_the_whole_array_bits(kind):
-    def base():
-        if kind.startswith("adamw"):
-            return AdamW(lr=0.05, weight_decay=0.1 if "decay" in kind else 0.0)
-        return Sgd(lr=0.3, momentum=0.0 if kind.startswith("sgd") else 0.9,
-                   nesterov=kind.startswith("nesterov"),
-                   weight_decay=0.1 if "decay" in kind else 0.0)
+@pytest.mark.parametrize("kind", BASE_KINDS)
+@pytest.mark.parametrize("method", ["ft", "mars-sp"])
+def test_strips_stepped_under_keys_of_their_own_give_the_whole_tensor_bits(method, kind):
+    def build_on(params, base):
+        if method == "ft":
+            return BaseOnlyOptimizer(params, base)
+        return MarsSpOptimizer(params, base, np.inf, exclude_set=["head"])
 
     rng = SeededRng(19)
-    whole, ranged = base(), base()
-    value = value_ranged = rng.derive(0).normal((10, 3))
-    # the first step, which creates the buffers, and every other one go in ranges
-    ranges = [slice(0, 4), slice(4, 8), slice(8, 10)]
+    values = {n: rng.derive(0, i).normal(s) for i, (n, s) in enumerate(WIDE_SHAPES.items())}
+    params, alone = make_managed(values), base_of(kind)
+    opt = build_on(params, base_of(kind))
+    assert all(len(b.strips) > 1 for b in opt._blocks)
     for t in range(6):
-        grad = rng.derive(1, t).normal((10, 3))
-        value = whole.step("w", value, grad)
-        out = np.full((10, 3), np.nan)
-        for rows in (ranges if t % 2 == 0 else [slice(None)]):
-            stepped = ranged.step("w", value_ranged, grad, out=out, rows=rows)
-            assert np.shares_memory(stepped, out[rows]) and stepped.shape == out[rows].shape
-        value_ranged = out
-        assert value_ranged.tobytes() == value.tobytes(), t
-    state, state_ranged = whole.get_state(), ranged.get_state()
-    tensors, tensors_ranged = state.pop("tensors"), state_ranged.pop("tensors")
-    assert state == state_ranged
+        for i, (name, p) in enumerate(params.items()):
+            p.grad = WIDE_SCALE * rng.derive(1, t, i).normal(WIDE_SHAPES[name])
+        # each whole tensor stepped alone, under its own name
+        values = {name: alone.step(name, values[name], p.grad) for name, p in params.items()}
+        opt.step()
+        for name, p in params.items():
+            assert p.value.tobytes() == values[name].tobytes(), (t, name)
+    state = opt.get_state()
     if kind.startswith("adamw"):
-        assert state_ranged["t_counts"] == {"w": 6}
-    assert tensors.keys() == tensors_ranged.keys()
-    for key, arr in tensors.items():
-        assert arr.tobytes() == tensors_ranged[key].tobytes(), key
+        assert state["t_counts"] == dict.fromkeys(WIDE_SHAPES, 6)
+    assert_same_base_state(opt.get_state(), alone.get_state())
+    restored = build_on(make_managed(values), base_of(kind))
+    restored.set_state(state)
+    assert_same_base_state(restored.get_state(), alone.get_state())
 
 
 @pytest.mark.parametrize("inner_iters", [1, 2])

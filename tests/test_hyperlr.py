@@ -80,6 +80,10 @@ class TestAlphaUpdate:
         with pytest.raises(ConfigError, match="hyper.alpha0" if kappa == 0.1 else "hyper.kappa"):
             HyperLrState(alpha=alpha, kappa_lr=kappa)
 
+    def test_no_params_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="at least one tensor"):
+            HyperSgd({}, alpha0=0.1, kappa=0.0)
+
 
 class TestSignLaw:
     def test_strict_increase_iff_positive_dot(self):
