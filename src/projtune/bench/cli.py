@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from pathlib import Path
@@ -19,13 +20,17 @@ __all__ = ["main"]
 
 
 def _overrides(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+    bad = [pair for pair in pairs or [] if "=" not in pair]
+    if bad:
+        raise ConfigError(f"--set expects key=value, got {bad[0]!r}")
+    return dict(pair.split("=", 1) for pair in pairs or [])
+
+
+def _out_path(out: str | None) -> Path | None:
+    """``--out`` as a path, checked to lie in a directory before the command's work."""
+    if out and not Path(out).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
+    return Path(out) if out else None
 
 
 def _load(args) -> "ExperimentConfig":
@@ -34,11 +39,9 @@ def _load(args) -> "ExperimentConfig":
 
 def cmd_pretrain(args) -> int:
     config = _load(args)
-    outdir = Path(config.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = Path(config.pretrain_path) if config.pretrain_path else outdir / "pretrain.ckpt"
-    ckpt = pretrain(config, path=path)
-    print(f"pretrained {ckpt.extra['pretrain_iters']} iterations -> {path}")
+    Path(config.outdir).mkdir(parents=True, exist_ok=True)
+    ckpt = pretrain(config, path=config.anchor_path())
+    print(f"pretrained {ckpt.extra['pretrain_iters']} iterations -> {config.anchor_path()}")
     return 0
 
 
@@ -55,13 +58,14 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = _out_path(args.out)
     config = _load(args)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = generate_shift_dataset(config.dataset_spec(), config.seed)
     table = evaluate(ckpt.model_spec, ckpt.values, dataset)
     payload = json.dumps(table, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    if out:
+        out.write_text(payload + "\n", encoding="utf-8")
     print(payload)
     return 0
 
@@ -69,6 +73,7 @@ def cmd_evaluate(args) -> int:
 def cmd_audit(args) -> int:
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    out = _out_path(args.out) or Path(args.checkpoint).with_suffix(".audit.json")
     ckpt = load_checkpoint(args.checkpoint)
     if not ckpt.anchors:
         raise RunError(f"checkpoint {args.checkpoint} carries no anchors to audit against")
@@ -80,7 +85,6 @@ def cmd_audit(args) -> int:
     ]
     sampler = mixed_pair_sampler(SeededRng(args.seed), spec.widths[0], probe_matrices=diffs)
     ok, report = verify_lemma1_bound(spec, ckpt.values, ckpt.anchors, sampler, args.pairs)
-    out = Path(args.out) if args.out else Path(args.checkpoint).with_suffix(".audit.json")
     report.to_json(out)
     print(f"bound_satisfied={ok} sampled_max={report.network_ratio_max:.6f} "
           f"upper_bound={report.network_upper_bound:.6f} -> {out}")

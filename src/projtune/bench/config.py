@@ -1,20 +1,25 @@
 """Experiment configuration: a flat ``key = value`` text format with a strict schema.
 
 Lines are ``key = value``; ``#`` starts a comment; blank lines are ignored.
-Unknown keys are rejected at load time so a typo cannot silently fall back to
-a default. ``inf`` is a valid float (used for an unbounded projection
-radius), lists are comma-separated, and ``exclude_set = *`` means "every
-parameter name".
+Each value is parsed by the type of its field: ``inf`` is a valid float (used
+for an unbounded projection radius), lists are comma-separated, ``""`` and
+``none`` give an empty list or no value, and ``exclude_set = *`` means "every
+parameter name". Every key is checked at load, so a typo or a value out of
+range fails before any work, with an error that names the key.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional
 
+from ..baselines import Sgd, make_base_optimizer
 from ..errors import ConfigError
+from ..ftp import GammaState
 from ..hyperlr import HyperLrState
+from ..model import MlpSpec
 from .data import DatasetSpec
 
 __all__ = ["ExperimentConfig", "METHODS", "load_config", "parse_config_text"]
@@ -69,35 +74,59 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
-        bad = {key: v for key, v in self.to_dict().items() if isinstance(v, float)
-               and not math.isfinite(v) and not (key == "mars_sp.gamma" and v == math.inf)}
+        values = self.to_dict()
+        bad = [f"{key} must be finite, got {v}" for key, v in values.items() if isinstance(v, float)
+               and not math.isfinite(v) and not (key == "mars_sp.gamma" and v == math.inf)]
+        bad += [f"{key} must be at least {floor}, got {values[key]}"
+                for key, floor in _AT_LEAST.items() if values[key] < floor]
         if bad:
-            raise ConfigError(f"{', '.join(bad)} must be finite (mars_sp.gamma may be inf), "
-                              f"got {bad}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.seed < 0 or self.checkpoint_every < 0:
-            raise ConfigError(f"seed and checkpoint_every must be nonnegative, got "
-                              f"{self.seed} and {self.checkpoint_every}")
+            raise ConfigError("; ".join(bad))
         HyperLrState(self.hyper_alpha0, self.hyper_kappa)  # checks hyper.alpha0 and hyper.kappa
         if self.wise_ratio is not None and not 0.0 <= self.wise_ratio <= 1.0:
             raise ConfigError(f"wise.ratio must lie in [0, 1], got {self.wise_ratio}")
-        if self.method == "hyper-sgd":
-            # HyperSgd learns its own rate from hyper.alpha0 and hyper.kappa
-            ignored = [k for k in _BASE_KEYS if getattr(self, k) != _FIELD_TYPES[k].default]
-            if ignored:
-                raise ConfigError(f"method hyper-sgd ignores {ignored}; leave them at their defaults")
+        for (key, value), ignored in _IGNORES.items():
+            if getattr(self, key) == value and self._changed(ignored):
+                raise ConfigError(f"{key} {value} ignores {self._changed(ignored)}; "
+                                  f"leave them at their defaults")
+        # Build what a run builds from the config, so that each owner's checks run at load.
+        # The owners' messages do not name keys, so the error names the owner's keys that
+        # this config changed.
+        for keys, build in (
+            (_DATASET_KEYS, self.dataset_spec),
+            (_MODEL_KEYS, self.model_spec),
+            (_BASE_KEYS, lambda: make_base_optimizer(
+                self.base, self.lr, momentum=self.momentum, weight_decay=self.weight_decay,
+                nesterov=self.nesterov)),
+            (("pretrain.lr",), lambda: Sgd(self.pretrain_lr)),
+            (("k",), lambda: GammaState(kappa=self.k)),
+            (("exclude_set",), self._check_exclude_set),
+        ):
+            try:
+                build()
+            except ConfigError as exc:
+                raise ConfigError(f"{', '.join(self._changed(keys))}: {exc}") from None
+
+    def _changed(self, keys) -> list[str]:
+        """The ``keys`` whose values differ from their defaults."""
+        return [key for key in keys if getattr(self, _FIELDS[key].name) != _FIELDS[key].default]
+
+    def _check_exclude_set(self) -> None:
+        unknown = set(self.exclude_set) - set(self.model_spec().layer_names())
+        if unknown and self.exclude_set != ("*",):
+            raise ConfigError(f"names not in the model: {sorted(unknown)}")
 
     def dataset_spec(self) -> DatasetSpec:
-        return DatasetSpec(
-            n_train=self.dataset_n_train,
-            n_test=self.dataset_n_test,
-            n_classes=self.dataset_n_classes,
-            n_features=self.dataset_n_features,
-            cluster_spread=self.dataset_cluster_spread,
-            nuisance_scale=self.dataset_nuisance_scale,
-            mean_radius=self.dataset_mean_radius,
-        )
+        return DatasetSpec(**{f.name: getattr(self, f"dataset_{f.name}")
+                              for f in fields(DatasetSpec)})
+
+    def model_spec(self) -> MlpSpec:
+        return MlpSpec(widths=(self.dataset_n_features, *self.model_hidden,
+                               self.dataset_n_classes),
+                       activations=(self.model_activation,) * len(self.model_hidden))
+
+    def anchor_path(self) -> Path:
+        """The pretrained anchor's file: ``pretrain.path``, else ``pretrain.ckpt`` in ``outdir``."""
+        return Path(self.pretrain_path or Path(self.outdir) / "pretrain.ckpt")
 
     def iters_per_epoch(self, split_size: int) -> int:
         return max(1, -(-split_size // self.batch_size))
@@ -106,13 +135,8 @@ class ExperimentConfig:
         return self.epochs * self.iters_per_epoch(split_size)
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, name in _KEY_TO_FIELD.items():
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        return out
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in ((key, getattr(self, f.name)) for key, f in _FIELDS.items())}
 
 
 _KEY_GROUPS = ("dataset", "model", "pretrain", "finetune", "tpgm", "mars_sp", "l2_sp",
@@ -121,59 +145,47 @@ _KEY_GROUPS = ("dataset", "model", "pretrain", "finetune", "tpgm", "mars_sp", "l
 
 def _field_key(name: str) -> str:
     """Field name -> config key: grouped fields use a dot ('tpgm.inner_iters')."""
-    for prefix in _KEY_GROUPS:
-        if name.startswith(prefix + "_"):
-            return f"{prefix}.{name[len(prefix) + 1:]}"
-    return name
+    return next((f"{group}.{name[len(group) + 1:]}" for group in _KEY_GROUPS
+                 if name.startswith(group + "_")), name)
 
 
-_KEY_TO_FIELD = {_field_key(f.name): f.name for f in fields(ExperimentConfig)}
-_FIELD_TYPES = {f.name: f for f in fields(ExperimentConfig)}
+_FIELDS = {_field_key(f.name): f for f in fields(ExperimentConfig)}  # config key -> field
 # the base optimizer's keys; every method but hyper-sgd reads them
 _BASE_KEYS = ("base", "lr", "momentum", "weight_decay", "nesterov")
+# (key, value) -> the keys a run with that value does not read: hyper-sgd learns its own
+# rate, and AdamW has no momentum
+_IGNORES = {("method", "hyper-sgd"): _BASE_KEYS, ("base", "adamw"): ("momentum", "nesterov")}
+_DATASET_KEYS = tuple(key for key in _FIELDS if key.startswith("dataset."))
+_MODEL_KEYS = ("dataset.n_features", "model.hidden", "model.activation", "dataset.n_classes")
+# lower bounds of the keys that no object built at load checks; the owners of the last
+# three need the run's params
+_AT_LEAST = {"epochs": 1, "batch_size": 1, "seed": 0, "checkpoint_every": 0,
+             "pretrain.epochs": 0, "tpgm.inner_iters": 0, "mars_sp.gamma": 0,
+             "l2_sp.lambda": 0}
 
 
-def _parse_value(field_name: str, raw: str):
-    raw = raw.strip()
-    default = _FIELD_TYPES[field_name].default
-    ftype = _FIELD_TYPES[field_name].type
-    if field_name in ("exclude_set",):
-        if raw in ("", "none"):
-            return ()
-        if raw == "*":
-            return ("*",)
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
-    if field_name == "model_hidden":
-        if raw in ("", "none"):
-            return ()
-        try:
-            return tuple(int(part) for part in raw.split(","))
-        except ValueError:
-            raise ConfigError(f"model.hidden must be comma-separated integers, got {raw!r}")
-    if field_name == "wise_ratio":
-        if raw in ("", "none"):
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"wise.ratio must be a float or 'none', got {raw!r}")
-    if isinstance(default, bool) or ftype == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{field_name}: expected a boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{field_name}: expected an integer, got {raw!r}")
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{field_name}: expected a float, got {raw!r}")
-    return raw
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+# field annotation -> (parse rule, what it expects); a rule raises ValueError or KeyError
+_RULES = {
+    "bool": (lambda raw: _BOOLEANS[raw.lower()], "a boolean"),
+    "int": (int, "an integer"), "float": (float, "a float"), "str": (str, "a string"),
+    "tuple[str, ...]": (lambda raw: tuple(filter(None, map(str.strip, raw.split(",")))), "names"),
+    "tuple[int, ...]": (lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers"),
+    "Optional[float]": (float, "a float or 'none'"),
+}
+
+
+def _parse_value(key: str, raw: str):
+    """``raw`` as a value of the annotated type of ``key``'s field; ``""`` and ``none`` are
+    empty for a tuple and ``None`` for an ``Optional``."""
+    annotation = _FIELDS[key].type
+    if raw in ("", "none") and annotation.startswith(("tuple", "Optional")):
+        return () if annotation.startswith("tuple") else None
+    rule, expected = _RULES[annotation]
+    try:
+        return rule(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -190,13 +202,11 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Exp
     if overrides:
         assignments.update({k.strip(): str(v).strip() for k, v in overrides.items()})
 
-    kwargs = {}
-    for key, raw in assignments.items():
-        field_name = _KEY_TO_FIELD.get(key)
-        if field_name is None:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        kwargs[field_name] = _parse_value(field_name, raw)
-    return ExperimentConfig(**kwargs)
+    unknown = [key for key in assignments if key not in _FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown configuration key {unknown[0]!r}")
+    return ExperimentConfig(**{_FIELDS[key].name: _parse_value(key, raw)
+                               for key, raw in assignments.items()})
 
 
 def load_config(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:

@@ -69,13 +69,7 @@ TPGM_VAL_FRACTION = 0.25
 
 
 def model_spec_from_config(config: ExperimentConfig) -> MlpSpec:
-    widths = (config.dataset_n_features, *config.model_hidden, config.dataset_n_classes)
-    n_hidden = len(config.model_hidden)
-    return MlpSpec(
-        widths=widths,
-        activations=(config.model_activation,) * n_hidden,
-        loss="softmax_ce",
-    )
+    return config.model_spec()
 
 
 class CountingModel:
@@ -143,7 +137,7 @@ def pretrain(
     """Train on the full clean distribution with plain SGD; snapshot as anchor."""
     if dataset is None:
         dataset = generate_shift_dataset(config.dataset_spec(), config.seed)
-    spec = model_spec_from_config(config)
+    spec = config.model_spec()
     root = SeededRng(config.seed)
     values = init_params(spec, root.derive(_TAG_MODEL_INIT))
     opt = make_base_optimizer("sgd", config.pretrain_lr)
@@ -298,7 +292,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
     """
     method = _METHODS[config.method]
     dataset = generate_shift_dataset(config.dataset_spec(), config.seed)
-    spec = model_spec_from_config(config)
+    spec = config.model_spec()
     ft_train = finetune_subsample(dataset, config.finetune_n, config.finetune_skew)
     ft_val = None
     if method.val_fraction:
@@ -310,7 +304,7 @@ def run_experiment(config: ExperimentConfig, resume: Optional[Path] = None) -> R
 
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pre_path = Path(config.pretrain_path) if config.pretrain_path else outdir / "pretrain.ckpt"
+    pre_path = config.anchor_path()
     if not pre_path.exists():
         pretrain(config, dataset=dataset, path=pre_path)
     pre = load_checkpoint(pre_path)

@@ -1,9 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from projtune.bench.config import ExperimentConfig, load_config, parse_config_text
+from projtune.bench.run import model_spec_from_config
 from projtune.errors import ConfigError
+from projtune.model import MlpSpec
 
 SAMPLE = """
 # benchmark configuration
@@ -70,6 +74,26 @@ class TestParsing:
     def test_exclude_set_star(self):
         cfg = parse_config_text("exclude_set = *\n")
         assert cfg.exclude_set == ("*",)
+
+    # one bad value for each field annotation: bool, int, float, str, tuple[str, ...],
+    # tuple[int, ...] and Optional[float]
+    @pytest.mark.parametrize("key, value", [
+        ("nesterov", "maybe"), ("dataset.n_train", "x"), ("dataset.cluster_spread", "1.5.0"),
+        ("model.activation", "sigmoid"), ("exclude_set", "layer9.weight"),
+        ("model.hidden", "16,,16"), ("wise.ratio", "x"),
+    ])
+    def test_a_bad_value_of_each_type_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_empty_and_none_values(self):
+        cfg = parse_config_text("exclude_set = none\nmodel.hidden =\nwise.ratio = none\n")
+        assert (cfg.exclude_set, cfg.model_hidden, cfg.wise_ratio) == ((), (), None)
+        # a blank name is dropped, a blank width is an error
+        cfg = parse_config_text("exclude_set = layer0.weight, ,layer2.bias\n")
+        assert cfg.exclude_set == ("layer0.weight", "layer2.bias")
+        with pytest.raises(ConfigError, match="^model.hidden: "):
+            parse_config_text("model.hidden = 16,\n")
 
     def test_wise_ratio_none_and_range(self):
         assert parse_config_text("wise.ratio = none\n").wise_ratio is None
@@ -142,3 +166,34 @@ class TestHyperSgdBaseKeys:
         cfg = parse_config_text("method = hyper-sgd\nbase = sgd\nlr = 0.08\nmomentum = 0.9\n"
                                 "weight_decay = 0\nnesterov = false\n")
         assert (cfg.base, cfg.lr, cfg.momentum) == ("sgd", 0.08, 0.9)
+
+
+class TestAdamWBaseKeys:
+    # AdamW has no momentum, so a momentum key it would ignore is an error
+    @pytest.mark.parametrize("key, value", [("momentum", "0.5"), ("momentum", "0"),
+                                            ("nesterov", "true")])
+    def test_each_non_default_key_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"base adamw ignores \['{key}'\]"):
+            parse_config_text(f"method = ftp\nbase = adamw\n{key} = {value}\n")
+
+    def test_defaults_accepted_when_written(self):
+        cfg = parse_config_text("base = adamw\nlr = 0.01\nmomentum = 0.9\nnesterov = false\n")
+        assert (cfg.base, cfg.momentum, cfg.nesterov) == ("adamw", 0.9, False)
+
+
+class TestWhatARunBuilds:
+    def test_dataset_spec_takes_every_dataset_key(self):
+        cfg = parse_config_text("dataset.n_train = 300\ndataset.mean_radius = 2.5\n")
+        spec = cfg.dataset_spec()
+        assert (spec.n_train, spec.n_test, spec.mean_radius) == (300, 2000, 2.5)
+        assert spec.n_features == cfg.dataset_n_features == 8  # not the DatasetSpec default
+
+    def test_model_spec(self):
+        cfg = parse_config_text("model.hidden = 12,8\nmodel.activation = relu\n"
+                                "dataset.n_classes = 5\n")
+        assert cfg.model_spec() == MlpSpec(widths=(8, 12, 8, 5), activations=("relu", "relu"))
+        assert model_spec_from_config(cfg) == cfg.model_spec()
+
+    def test_anchor_path(self):
+        assert ExperimentConfig(outdir="o").anchor_path() == Path("o") / "pretrain.ckpt"
+        assert ExperimentConfig(outdir="o", pretrain_path="a.ckpt").anchor_path() == Path("a.ckpt")

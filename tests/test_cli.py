@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from projtune.bench import cli
 from projtune.bench.cli import main
-from projtune.bench.config import parse_config_text
+from projtune.bench.config import METHODS, ExperimentConfig, parse_config_text
 from projtune.errors import ConfigError
 
 BASE_CONF = """
@@ -127,6 +135,76 @@ class TestPretrainFinetune:
                        "--set", f"method={method}", "--set", f"{key}={value}") == 2
         assert key in capsys.readouterr().err
         assert not (outdir / "pretrain.ckpt").exists()
+
+    # each case's last key is the one out of range; at load, before any work
+    @pytest.mark.parametrize("case", [
+        "method=ftp k=2", "method=mars-sp mars_sp.gamma=-1", "method=l2-sp l2_sp.lambda=-1",
+        "method=tpgm tpgm.inner_iters=-1", "momentum=-1", "base=sgdd", "lr=-1",
+        "pretrain.lr=0", "pretrain.epochs=-1", "dataset.n_classes=1",
+        "model.activation=sigmoid", "method=ftp exclude_set=layer9.weight",
+        "base=adamw nesterov=true", "base=adamw momentum=0.5",
+    ])
+    def test_a_key_out_of_range_is_clean_error_before_any_run(self, tmp_path, conf_file, case,
+                                                              capsys):
+        pairs = case.split()
+        key = pairs[-1].split("=")[0]
+        with pytest.raises(ConfigError, match=rf"(^|\W){re.escape(key)}\b"):
+            parse_config_text("\n".join(pairs))
+        outdir = tmp_path / "run"
+        argv = [arg for pair in pairs for arg in ("--set", pair)]
+        assert run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}", *argv) == 2
+        assert key in capsys.readouterr().err
+        assert not (outdir / "pretrain.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+def test_out_in_missing_directory_fails_before_any_work(command, tmp_path, conf_file,
+                                                        monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the command started its work before it checked --out")
+
+    for name in ("load_config", "load_checkpoint", "generate_shift_dataset", "evaluate",
+                 "verify_lemma1_bound"):
+        monkeypatch.setattr(cli, name, never)
+    argv = [command, "--checkpoint", tmp_path / "state.ckpt",
+            "--out", tmp_path / "missing" / "out.json"]
+    if command == "evaluate":
+        argv += ["--config", conf_file]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] no such directory")
+
+
+KEYS = tuple(ExperimentConfig().to_dict())
+# keys that set how much a run computes or where it writes; the runs below leave them alone
+WORK_KEYS = {"outdir", "pretrain.path", "epochs", "batch_size", "checkpoint_every",
+             "tpgm.inner_iters", "pretrain.epochs", "finetune.n", "dataset.n_train",
+             "dataset.n_test", "dataset.n_features", "dataset.n_classes", "model.hidden"}
+ADVERSARIAL = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1", "1e308", "-1e308", "", "none", "*",
+                     "a,b", "true", "adamw", "layer0.weight", *METHODS]),
+    st.integers(min_value=-10**40, max_value=10**40).map(str),
+    st.text(st.characters(min_codepoint=0x80, max_codepoint=0x2fff), max_size=8),
+)
+TINY_CONF = ("epochs = 1\npretrain.epochs = 1\ndataset.n_train = 200\ndataset.n_test = 100\n"
+             "model.hidden = 4\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(KEYS), ADVERSARIAL), max_size=3))
+def test_adversarial_config_input_is_a_config_or_a_clean_error(pairs):
+    for load in (lambda: parse_config_text("\n".join(f"{k} = {v}" for k, v in pairs)),
+                 lambda: parse_config_text(TINY_CONF, overrides=dict(pairs))):
+        try:
+            assert isinstance(load(), ExperimentConfig)
+        except ConfigError:
+            pass
+    argv = [arg for k, v in pairs if k not in WORK_KEYS for arg in ("--set", f"{k}={v}")]
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "tiny.conf"
+        conf.write_text(TINY_CONF, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["finetune", "--config", str(conf), "--set", f"outdir={tmp}/run", *argv])
+    assert code in (0, 2)
 
 
 class TestEvaluateAudit:

@@ -5,9 +5,12 @@ Usage, from the repository root::
     python3 tools/bench_pairs.py --parent REV --workload desk-sweep --seeds 9401-9410 \\
         --set claim --describe "the final code; desk-sweep seeds 9401-9410" --out BENCH_10.json
 
-The parent side runs ``perfbench/run.py`` of revision ``REV``, checked out
-with ``git worktree add`` into ``.bench_parent/`` (removed again at exit), or
-of an existing checkout given with ``--parent-tree``. The change side runs
+The parent side runs ``perfbench/run.py`` of revision ``REV`` (default
+``HEAD~1``), checked out with ``git worktree add`` into ``.bench_parent/``
+(removed again at exit), or of an existing tree given with ``--parent-tree``.
+The file records the parent tree's own revision when the tree is a git
+checkout; a tree that is none, such as an unpacked ``git archive``, needs
+``--parent REV`` to name its revision. The change side runs
 the ``perfbench/run.py`` of this repository's working tree. Both checkouts
 should sit on one filesystem, since perfbench writes its run directories
 inside the checkout it runs from.
@@ -51,16 +54,30 @@ def parse_args(argv):
     p.add_argument("--set", required=True, help="name of this set of pairs")
     p.add_argument("--describe", required=True, help="what this set measures")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--parent", default="HEAD~1", help="revision of the parent side")
-    p.add_argument("--parent-tree", type=Path, help="existing checkout of the parent")
+    p.add_argument("--parent", help="revision of the parent side (default HEAD~1); required "
+                   "with a --parent-tree that is not a git checkout")
+    p.add_argument("--parent-tree", type=Path, help="existing tree of the parent")
     p.add_argument("--seconds", type=float, default=50.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return p.parse_args(argv)
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", "-C", str(ROOT), *args], check=True, capture_output=True,
+def git(*args: str, tree: Path = ROOT) -> str:
+    return subprocess.run(["git", "-C", str(tree), *args], check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def parent_revision(tree: Path, parent: str | None) -> str:
+    """The short revision of the parent side: ``tree``'s own if it is the top of a git
+    checkout, else ``parent`` resolved in this repository."""
+    try:
+        if Path(git("rev-parse", "--show-toplevel", tree=tree)).resolve() == tree.resolve():
+            return git("rev-parse", "--short", "HEAD", tree=tree)
+    except subprocess.CalledProcessError:
+        pass  # not inside a git checkout
+    if parent is None:
+        raise SystemExit(f"error: {tree} is not a git checkout; name its revision with --parent")
+    return git("rev-parse", "--short", parent)
 
 
 @contextmanager
@@ -72,7 +89,7 @@ def parent_checkout(args):
     tree = ROOT / ".bench_parent"
     if tree.exists():
         raise SystemExit(f"error: {tree} exists; remove it with `git worktree remove`")
-    git("worktree", "add", "--detach", str(tree), args.parent)
+    git("worktree", "add", "--detach", str(tree), args.parent or "HEAD~1")
     try:
         yield tree
     finally:
@@ -116,9 +133,7 @@ def main(argv=None) -> int:
     bench["sets"][args.set] = args.describe
     with parent_checkout(args) as parent_tree:
         if not bench["parent"]:
-            bench["parent"] = subprocess.run(
-                ["git", "-C", str(parent_tree), "rev-parse", "--short", "HEAD"],
-                capture_output=True, text=True).stdout.strip() or args.parent
+            bench["parent"] = parent_revision(parent_tree, args.parent)
         trees = {"parent": parent_tree, "change": ROOT}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
