@@ -9,7 +9,6 @@ linear probing).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,16 +19,15 @@ from .ftp import (
     GammaState,
     ManagedParam,
     ProjectedOptimizer,
-    adam_update_gamma,
     state_tensors,
     tensor_group,
 )
 from .model import Batch
 
-# The projection and the hyper-gradient run in ProjectedOptimizer
-# (projtune.ftp); these names are kept so that tracing tools which wrap
-# them here still find them.
-from .ftp import hyper_gradient  # noqa: F401
+# The projection, the hyper-gradient and the radius step run in
+# ProjectedOptimizer (projtune.ftp), for TPGM too; these names are kept so
+# that tracing tools which wrap them here still find them.
+from .ftp import adam_update_gamma, hyper_gradient  # noqa: F401
 from .projection import project_rows  # noqa: F401
 
 __all__ = [
@@ -217,10 +215,7 @@ class MarsSpOptimizer(ProjectedOptimizer):
     def radius(self, name: str) -> float:
         return self.fixed_gammas[name]
 
-    def step(self) -> None:
-        self._gather()
-        self._base_step()
-        self._commit()
+    step = BaseOnlyOptimizer.step
 
 
 class TpgmOptimizer(ProjectedOptimizer):
@@ -232,9 +227,11 @@ class TpgmOptimizer(ProjectedOptimizer):
     step's list refine the per-tensor radii: each inner iteration projects
     the frozen unconstrained weights with the current radii, evaluates the
     validation gradient there (one extra forward+backward), chains it
-    through the projection, and applies an Adam step to every radius. The final radii then project the
-    unconstrained weights into place. The probe of each projected block
-    lives in its own array, which the validation gradient then overwrites.
+    through the projection, and moves every radius by FTP's rule, one Adam
+    step each (its radii keep ``kappa = 1``, so nothing is annealed). The
+    final radii then project the unconstrained weights into place. The probe
+    of each projected block lives in its own array, which the validation
+    gradient then overwrites.
     """
 
     def __init__(
@@ -255,8 +252,6 @@ class TpgmOptimizer(ProjectedOptimizer):
         self.inner_iters = int(inner_iters)
         self.gammas = {name: GammaState(gamma=gamma_init) for name in self.views}
         self._probes = [np.empty_like(b.value) for b in self._projected]
-        self._probe_strips = [b.cut(probe) for b, probe in zip(self._projected, self._probes)]
-        self._value_strips = [b.cut(b.value) for b in self._projected]
         # per turn of the updates: the weights each inner iteration evaluates
         self._probe_views = tuple(
             {name: view for b in self._blocks if not b.projected
@@ -283,29 +278,25 @@ class TpgmOptimizer(ProjectedOptimizer):
         self._gather()
         self._base_step(project=False)
         spare = 1 - self._turn
-        # what adam_update_gamma moves, to put back if the step fails
+        # what _move_radii moves, to put back if the step fails
         before = [(gs, gs.gamma, gs.m, gs.v, gs.t) for gs in self.gammas.values()]
         try:
             for batch in val_batches[:self.inner_iters]:
-                for b, strips in zip(self._projected, self._probe_strips):
-                    self._project(b, spare, strips)
+                for b, probe in zip(self._projected, self._probes):
+                    self._project(b, spare, probe)
                 _, val_grads = self.grad_fn(self._probe_views[spare], batch)
                 raw = {}
                 for b, probe in zip(self._projected, self._probes):
                     # the probe is spent: the gradient takes its place
                     grad = b.fill(probe, val_grads)
                     raw.update(self._hyper_gradients(b, grad, b.updates[spare], b.slices))
-                bad = [name for name, g in raw.items() if not math.isfinite(g)]
-                if bad:
-                    raise DomainError(f"non-finite constraint gradient for {bad}")
-                for name, gs in self.gammas.items():
-                    adam_update_gamma(gs, raw[name])
+                self._move_radii(raw)
         except BaseException:
             for gs, gamma, m, v, t in before:
                 gs.gamma, gs.m, gs.v, gs.t = gamma, m, v, t
             raise
-        for b, strips in zip(self._projected, self._value_strips):
-            self._project(b, spare, strips)
+        for b in self._projected:
+            self._project(b, spare, b.value)
         self._commit()
 
 

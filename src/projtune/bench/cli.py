@@ -71,8 +71,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    for flag, value, floor in (("--pairs", args.pairs, 1), ("--seed", args.seed, 0)):
+        if value < floor:
+            raise ConfigError(f"{flag} must be at least {floor}, got {value}")
     out = _out_path(args.out) or Path(args.checkpoint).with_suffix(".audit.json")
     ckpt = load_checkpoint(args.checkpoint)
     if not ckpt.anchors:

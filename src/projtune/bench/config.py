@@ -72,13 +72,18 @@ class ExperimentConfig:
     finetune_skew: float = 0.45
 
     def __post_init__(self):
+        for key, f in _FIELDS.items():
+            if not _fits(f.type, value := getattr(self, f.name)):
+                raise ConfigError(f"{key}: expected {_RULES[f.type][1]}, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; choose from {METHODS}")
         values = self.to_dict()
         bad = [f"{key} must be finite, got {v}" for key, v in values.items() if isinstance(v, float)
                and not math.isfinite(v) and not (key == "mars_sp.gamma" and v == math.inf)]
         bad += [f"{key} must be at least {floor}, got {values[key]}"
-                for key, floor in _AT_LEAST.items() if values[key] < floor]
+                for key, floor in _AT_LEAST.items() if values[key] < values.get(floor, floor)]
+        if not 0.0 < self.finetune_skew <= 1.0:
+            bad.append(f"finetune.skew must lie in (0, 1], got {self.finetune_skew}")
         if bad:
             raise ConfigError("; ".join(bad))
         HyperLrState(self.hyper_alpha0, self.hyper_kappa)  # checks hyper.alpha0 and hyper.kappa
@@ -157,11 +162,12 @@ _BASE_KEYS = ("base", "lr", "momentum", "weight_decay", "nesterov")
 _IGNORES = {("method", "hyper-sgd"): _BASE_KEYS, ("base", "adamw"): ("momentum", "nesterov")}
 _DATASET_KEYS = tuple(key for key in _FIELDS if key.startswith("dataset."))
 _MODEL_KEYS = ("dataset.n_features", "model.hidden", "model.activation", "dataset.n_classes")
-# lower bounds of the keys that no object built at load checks; the owners of the last
-# three need the run's params
+# lower bounds, a number or another key, of the keys that no object built at load checks;
+# the owners of the last four need the run's params or data (finetune_subsample checks
+# finetune.n and finetune.skew again, with each class's count)
 _AT_LEAST = {"epochs": 1, "batch_size": 1, "seed": 0, "checkpoint_every": 0,
              "pretrain.epochs": 0, "tpgm.inner_iters": 0, "mars_sp.gamma": 0,
-             "l2_sp.lambda": 0}
+             "l2_sp.lambda": 0, "finetune.n": "dataset.n_classes"}
 
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -173,6 +179,16 @@ _RULES = {
     "tuple[int, ...]": (lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers"),
     "Optional[float]": (float, "a float or 'none'"),
 }
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether ``value`` has the type of a field annotated ``annotation``; an int fits a float."""
+    if annotation.startswith("Optional["):  # Optional[X]
+        return value is None or _fits(annotation[9:-1], value)
+    if annotation.startswith("tuple["):  # tuple[X, ...]
+        return isinstance(value, tuple) and all(_fits(annotation[6:-6], v) for v in value)
+    kind = {"bool": bool, "int": int, "float": (int, float), "str": str}[annotation]
+    return isinstance(value, kind) and (annotation == "bool") == isinstance(value, bool)
 
 
 def _parse_value(key: str, raw: str):

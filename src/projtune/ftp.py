@@ -46,7 +46,6 @@ __all__ = [
     "hyper_gradient",
     "make_managed",
     "rebase_anchor",
-    "require_grads",
     "state_tensors",
     "tensor_group",
 ]
@@ -109,13 +108,6 @@ def make_managed(
             anchor=np.array(anchors[name], dtype=np.float64, copy=True),
         )
     return out
-
-
-def require_grads(params: dict[str, ManagedParam]) -> None:
-    """Raise StateError, before any tensor is stepped, if a param has no gradient."""
-    missing = [name for name, p in params.items() if p.grad is None]
-    if missing:
-        raise StateError(f"gradients missing for: {missing}")
 
 
 def state_tensors(state: dict, kind: str) -> dict[str, np.ndarray]:
@@ -319,16 +311,18 @@ class _Block:
     buffers, whose member views (``update_views``) are built once. The
     members hold the last update as ``prev_unconstrained`` in a projected
     block, which projects it into its own ``value``, and as ``value`` in the
-    unprojected one. ``delta``, ``dist`` and ``measured`` cache the
+    unprojected one. ``delta`` and ``dist`` cache the
     :func:`~projtune.projection.row_displacement` of the last update from
-    ``anchor``; ``scratch``, one strip tall, holds temporaries that
-    never leave a strip, ``radius`` each row's projection radius and
+    ``anchor``: the base step measures each update it writes, and the
+    optimizer measures the block again when it copies in an anchor or an
+    update set from outside. ``scratch``, one strip tall, holds temporaries
+    that never leave a strip, ``radius`` each row's projection radius and
     ``radii`` the radius each member's rows were last set to.
     """
 
     __slots__ = ("layout", "slices", "strips", "projected", "value", "grad", "anchor",
                  "updates", "update_views", "views", "delta", "dist", "scratch", "radius",
-                 "radii", "measured")
+                 "radii")
 
     def __init__(self, key: str, layout: list[ProjectionView], projected: bool):
         self.layout = {view.name: view for view in layout}
@@ -346,7 +340,6 @@ class _Block:
         self.updates = (np.zeros(shape), np.zeros(shape))
         self.update_views = tuple(self.views_of(u) for u in self.updates)
         self.views = {"grad": self.views_of(self.grad)}
-        self.measured = False
         if projected:
             self.value = np.zeros(shape)
             self.anchor = np.zeros(shape)
@@ -366,10 +359,6 @@ class _Block:
             self.strips.append(
                 _Strip(key if len(bounds) == 1 else f"{key}:{span.start}", span, *views))
 
-    def cut(self, arr: np.ndarray) -> list[np.ndarray]:
-        """The block-shaped ``arr`` cut into its strips."""
-        return [arr[strip.rows] for strip in self.strips]
-
     def views_of(self, arr: np.ndarray) -> dict[str, np.ndarray]:
         """Each member's rows of the block-shaped ``arr``, in the member's shape."""
         return {name: arr[rows].reshape(self.layout[name].source_shape)
@@ -385,8 +374,8 @@ class _Block:
                 views: dict[str, np.ndarray]) -> list[tuple]:
         """``(param, field, view, rows, layout, block)`` for each member's ``field`` in ``arr``.
 
-        ``block`` is the block whose displacement a new array in ``field``
-        invalidates, or None.
+        ``block`` is the block to measure again when a new array in ``field``
+        is copied in, or None.
         """
         stale = self if field in ("anchor", "prev_unconstrained") else None
         return [(params[name], field, views[name], arr[rows], self.layout[name], stale)
@@ -424,6 +413,11 @@ class ProjectedOptimizer:
     (:meth:`_gather`), sets the radii (learned ones live in ``gammas``;
     :meth:`radius` reads them), base-steps and projects every block
     (:meth:`_base_step`) and puts the updates in place (:meth:`_commit`).
+    Adopting an anchor or a last update set from outside measures its block
+    again, so between steps each block's ``delta`` and ``dist`` describe the
+    update its members hold. Learned radii move by one rule,
+    :meth:`_move_radii`, and a block is projected into another array by
+    :meth:`_project`.
     """
 
     def __init__(self, params: dict[str, ManagedParam], base, exclude_set: Iterable[str] = ()):
@@ -452,8 +446,6 @@ class ProjectedOptimizer:
                            for name, view in b.views["grad"].items()}
         # which of each block's two update buffers holds the last update
         self._turn = 0
-        self._grad_entries = [e for b in self._blocks
-                              for e in b.entries(params, "grad", b.grad, b.views["grad"])]
         # per turn: the arrays the params hold, and what a step that ends in it binds
         self._state_entries = tuple(self._entries(turn) for turn in (0, 1))
         self._bound = tuple(
@@ -463,10 +455,11 @@ class ProjectedOptimizer:
             for turn in (0, 1))
 
     def _entries(self, turn: int) -> list[tuple]:
-        """The adoption entries (:meth:`_Block.entries`) of every field but ``grad`` at ``turn``."""
+        """The adoption entries (:meth:`_Block.entries`) of every field at ``turn``."""
         entries = []
         for b in self._blocks:
             last = b.updates[turn], b.update_views[turn]
+            entries += b.entries(self.params, "grad", b.grad, b.views["grad"])
             if b.projected:
                 entries += b.entries(self.params, "value", b.value, b.views["value"])
                 entries += b.entries(self.params, "anchor", b.anchor, b.views["anchor"])
@@ -578,22 +571,28 @@ class ProjectedOptimizer:
                 worst = max(worst, float(dist.max()))
         return worst
 
-    @staticmethod
-    def _adopt(entries: list[tuple]) -> None:
-        """Copy in each entry's array that a param holds in place of its block view."""
-        for p, field, view, rows, layout, stale in entries:
+    def _adopt(self, entries: list[tuple]) -> None:
+        """Copy in each entry's array that a param holds in place of its block view.
+
+        Then measure each block whose anchor or last update was copied in.
+        """
+        stale = {}
+        for p, field, view, rows, layout, block in entries:
             arr = getattr(p, field)
             if arr is view or arr is None:
                 continue
             rows[...] = layout.to_2d(arr)
             setattr(p, field, view)
-            if stale is not None:
-                stale.measured = False
+            if block is not None:
+                stale[block] = None
+        for b in stale:
+            b.measure(self._turn)
 
     def _gather(self) -> None:
         """Check that every gradient is there, then adopt every array set from outside."""
-        require_grads(self.params)
-        self._adopt(self._grad_entries)
+        missing = [name for name, p in self.params.items() if p.grad is None]
+        if missing:
+            raise StateError(f"gradients missing for: {missing}")
         self._adopt(self._state_entries[self._turn])
 
     def _hyper_gradients(self, b: _Block, grad: np.ndarray, w_tilde: np.ndarray,
@@ -617,20 +616,18 @@ class ProjectedOptimizer:
         turn, spare = self._turn, 1 - self._turn
         for b in self._blocks:
             if b.projected:
-                b.measured = False  # delta describes the new update until _commit stores it
                 self._set_radii(b)
             for strip in b.strips:
                 value = strip.value if b.projected else strip.updates[turn]
                 self.base.step(strip.key, value, strip.grad, out=strip.updates[spare])
                 if not b.projected:
                     continue
+                # before a projection, |delta| is summed in the strip's value, in rows
+                # already in cache: the base step has read it and the projection overwrites it
+                strip.measure(strip.updates[spare], strip.value if project else strip.scratch)
                 if project:
-                    # the base step has read the strip's value, which the projection
-                    # overwrites: |delta| is summed there, in rows already in cache
-                    strip.measure(strip.updates[spare], strip.value)
-                    self._project_strip(strip, spare, strip.value)
-                else:
-                    strip.measure(strip.updates[spare], strip.scratch)
+                    project_rows(strip.updates[spare], strip.anchor, strip.radius,
+                                 delta=strip.delta, dist=strip.dist, out=strip.value)
 
     def _set_radii(self, b: _Block) -> None:
         """Fill the rows of each member of ``b`` whose radius is not the one they hold."""
@@ -640,26 +637,31 @@ class ProjectedOptimizer:
                 b.radius[rows] = r
                 b.radii[i] = r
 
-    @staticmethod
-    def _project_strip(strip: _Strip, turn: int, out: np.ndarray) -> None:
-        """Project the strip's measured update in ``updates[turn]`` at its radii into ``out``."""
-        project_rows(strip.updates[turn], strip.anchor, strip.radius, delta=strip.delta,
-                     dist=strip.dist, out=out)
+    def _project(self, b: _Block, turn: int, out: np.ndarray) -> None:
+        """Project the measured update in ``b.updates[turn]`` at the current radii into ``out``.
 
-    def _project(self, b: _Block, turn: int, outs: list[np.ndarray]) -> None:
-        """Project the measured update in ``b.updates[turn]`` at the current radii into ``outs``.
-
-        ``outs`` holds one array per strip (:meth:`_Block.cut`).
+        ``out`` is block-shaped; each strip is projected into its own rows of it.
         """
         self._set_radii(b)
-        for strip, out in zip(b.strips, outs):
-            self._project_strip(strip, turn, out)
+        for strip in b.strips:
+            project_rows(strip.updates[turn], strip.anchor, strip.radius, delta=strip.delta,
+                         dist=strip.dist, out=out[strip.rows])
+
+    def _move_radii(self, raw: dict[str, float]) -> None:
+        """One Adam step on each radius named in ``raw``, by its gradient annealed by its kappa.
+
+        Every gradient is checked before any radius moves.
+        """
+        grads = {name: anneal_gradient(g, self.gammas[name].kappa) for name, g in raw.items()}
+        bad = [name for name, g in grads.items() if not math.isfinite(g)]
+        if bad:
+            raise DomainError(f"non-finite constraint gradient for {bad}")
+        for name, g in grads.items():
+            adam_update_gamma(self.gammas[name], g)
 
     def _commit(self) -> None:
         """Make the updates of :meth:`_base_step` the params' arrays and consume the gradients."""
         self._turn = 1 - self._turn
-        for b in self._projected:
-            b.measured = True
         for p, field, view in self._bound[self._turn]:
             setattr(p, field, view)
 
@@ -691,21 +693,11 @@ class FtpOptimizer(ProjectedOptimizer):
         before any radius or tensor moves, so a failed step leaves no trace.
         """
         self._gather()
-        grads = {}
+        raw = {}
         for b in self._projected:
             live = [name for name in b.slices if self.params[name].prev_unconstrained is not None]
-            if not live:
-                continue
-            if not b.measured:
-                b.measure(self._turn)
-                b.measured = True
-            for name, raw in self._hyper_gradients(b, b.grad, b.updates[self._turn],
-                                                    live).items():
-                grads[name] = anneal_gradient(raw, self.gammas[name].kappa)
-        bad = [name for name, g in grads.items() if not math.isfinite(g)]
-        if bad:
-            raise DomainError(f"non-finite constraint gradient for {bad}")
-        for name, g in grads.items():
-            adam_update_gamma(self.gammas[name], g)
+            if live:
+                raw.update(self._hyper_gradients(b, b.grad, b.updates[self._turn], live))
+        self._move_radii(raw)
         self._base_step()
         self._commit()

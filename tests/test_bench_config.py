@@ -135,6 +135,19 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             ExperimentConfig(checkpoint_every=-1)
 
+    # one wrongly typed value per kind of field annotation, as a library caller passes it
+    @pytest.mark.parametrize("key, value", [
+        ("nesterov", "yes"), ("epochs", "5"), ("epochs", 5.0), ("epochs", True), ("lr", "0.1"),
+        ("method", 3), ("exclude_set", ["layer0.weight"]), ("model.hidden", (16, "16")),
+        ("wise.ratio", "0.5"),
+    ])
+    def test_a_wrongly_typed_value_is_config_error_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected"):
+            ExperimentConfig(**{key.replace(".", "_"): value})
+
+    def test_an_int_fits_a_float_key(self):
+        assert ExperimentConfig(lr=1, wise_ratio=0).lr == 1
+
     def test_negative_seed_rejected_at_load(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config_text("seed = -1\n")

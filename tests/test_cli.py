@@ -142,7 +142,8 @@ class TestPretrainFinetune:
         "method=tpgm tpgm.inner_iters=-1", "momentum=-1", "base=sgdd", "lr=-1",
         "pretrain.lr=0", "pretrain.epochs=-1", "dataset.n_classes=1",
         "model.activation=sigmoid", "method=ftp exclude_set=layer9.weight",
-        "base=adamw nesterov=true", "base=adamw momentum=0.5",
+        "base=adamw nesterov=true", "base=adamw momentum=0.5", "finetune.skew=7",
+        "finetune.skew=0", "finetune.n=2", "dataset.n_classes=5 finetune.n=4",
     ])
     def test_a_key_out_of_range_is_clean_error_before_any_run(self, tmp_path, conf_file, case,
                                                               capsys):
@@ -241,6 +242,15 @@ class TestEvaluateAudit:
         assert run_cli("evaluate", "--config", conf_file, "--set", "dataset.n_classes=5",
                        "--checkpoint", finished_run / "state.ckpt") == 2
         assert capsys.readouterr().err.startswith("error: model output width 4")
+
+    def test_audit_negative_seed_is_clean_error_before_the_checkpoint_loads(
+            self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("audit loaded the checkpoint before it checked --seed")
+
+        monkeypatch.setattr(cli, "load_checkpoint", never)
+        assert run_cli("audit", "--checkpoint", tmp_path / "state.ckpt", "--seed", -1) == 2
+        assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
 
     def test_audit_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         assert run_cli("audit", "--checkpoint", tmp_path / "missing.ckpt") == 2

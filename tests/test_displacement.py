@@ -248,7 +248,9 @@ def step_with_reference(method, base_kind, event, params, grads_at, steps=12):
     """Step ``method`` and its tensor-by-tensor reference; compare every array after each step.
 
     ``event`` happens before step 7: an anchor rebase, a restore of moved
-    arrays, a resume into a fresh optimizer, or nothing.
+    arrays, a restore followed by a constraint check (which copies the
+    arrays in before the step does), a resume into a fresh optimizer, or
+    nothing.
     """
     ref = clone(params)
     ref_base = make_base(base_kind)
@@ -261,9 +263,11 @@ def step_with_reference(method, base_kind, event, params, grads_at, steps=12):
             else:
                 rebase_anchor(params, opt.gammas)
             rebase_anchor(ref, shadow.gammas)
-        if t == 7 and event == "restore":
+        if t == 7 and event in ("restore", "restore-check"):
             restore_as_checkpoint(params, 0.01)
             restore_as_checkpoint(ref, 0.01)
+            if event == "restore-check":
+                assert opt.constraint_excess() == full_excess(shadow, ref)
         if t == 7 and event == "resume":
             params, opt = resume(method, params, opt, base_kind, grads_at)
         # odd steps hand the gradients over in the blocks, even ones as new arrays
@@ -278,7 +282,7 @@ def step_with_reference(method, base_kind, event, params, grads_at, steps=12):
 @pytest.mark.parametrize("base_kind", ["sgd", "adamw"])
 @pytest.mark.parametrize("method", ["ftp", "tpgm", "mars-sp", "ft", "linear-probe", "lp-ft",
                                     "l2-sp"])
-@pytest.mark.parametrize("event", ["none", "rebase", "restore", "resume"])
+@pytest.mark.parametrize("event", ["none", "rebase", "restore", "restore-check", "resume"])
 def test_cached_steps_match_uncached_reference(method, base_kind, event):
     params, grads_at = smooth_problem(7)
     step_with_reference(method, base_kind, event, params, grads_at)
