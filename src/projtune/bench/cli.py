@@ -6,6 +6,7 @@ import argparse
 import errno
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from ..audit import mixed_pair_sampler, verify_lemma1_bound
@@ -129,7 +130,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``projtune`` parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="projtune",
         description="Projection-constrained fine-tuning benchmark harness",
@@ -174,11 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, PersistenceError, RunError, OSError) as exc:
+    except (ConfigError, DomainError, PersistenceError, RunError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,12 +6,19 @@ splits apply one of four parametric corruptions to the clean evaluation
 inputs at five severities, leaving labels untouched: rotating the informative
 plane, translating along a fixed direction, adding Gaussian noise, or zeroing
 random feature entries. Everything is a pure function of (spec, seed).
+
+``generate_shift_dataset`` keeps its last result, so callers that ask for the
+same (spec, seed) share one dataset. Its splits and their arrays are
+read-only; a caller that edits an array copies it first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -70,7 +77,7 @@ class DatasetSpec:
         return means
 
 
-@dataclass
+@dataclass(frozen=True)
 class Split:
     inputs: np.ndarray
     labels: np.ndarray
@@ -126,13 +133,13 @@ def apply_shift(
     return inputs * keep
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShiftDataset:
     spec: DatasetSpec
     seed: int
     train: Split
     test: Split
-    ood: dict[tuple[str, int], Split] = field(default_factory=dict)
+    ood: Mapping[tuple[str, int], Split]
 
     def ood_split(self, kind: str, severity: int) -> Split:
         """OOD evaluation split; severity 0 is the untouched clean split."""
@@ -146,8 +153,14 @@ class ShiftDataset:
         return self.ood[key]
 
 
+@lru_cache(maxsize=1)
 def generate_shift_dataset(spec: DatasetSpec, seed: int) -> ShiftDataset:
-    """Clean train/test splits plus all (kind, severity) corruption splits."""
+    """Clean train/test splits plus all (kind, severity) corruption splits.
+
+    The result is shared: the last (spec, seed) is kept and returned again to
+    the next caller that asks for it. Every array is read-only and the OOD
+    splits share ``test.labels``; copy an array before editing it.
+    """
     root = SeededRng(seed)
     train = _make_split(spec, spec.n_train, root.derive(_TAG_TRAIN))
     test = _make_split(spec, spec.n_test, root.derive(_TAG_TEST))
@@ -163,9 +176,12 @@ def generate_shift_dataset(spec: DatasetSpec, seed: int) -> ShiftDataset:
             shift_rng = root.derive(_TAG_SHIFT, 1 + ki, severity)
             ood[(kind, severity)] = Split(
                 apply_shift(test.inputs, kind, severity, shift_rng, direction),
-                test.labels.copy(),
+                test.labels,
             )
-    return ShiftDataset(spec=spec, seed=seed, train=train, test=test, ood=ood)
+    for split in (train, test, *ood.values()):
+        split.inputs.flags.writeable = False
+        split.labels.flags.writeable = False
+    return ShiftDataset(spec=spec, seed=seed, train=train, test=test, ood=MappingProxyType(ood))
 
 
 def finetune_subsample(dataset: ShiftDataset, n: int, skew: float) -> Split:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,56 @@ class TestGeneration:
             small_spec(n_features=1)
         with pytest.raises(ConfigError):
             small_spec(n_train=2, n_classes=4)
+
+
+def split_arrays(ds):
+    """Every array of ``ds``, named by its split and field."""
+    splits = {"train": ds.train, "test": ds.test,
+              **{f"ood.{kind}.{severity}": split for (kind, severity), split in ds.ood.items()}}
+    return {f"{name}.{field}": getattr(split, field)
+            for name, split in splits.items() for field in ("inputs", "labels")}
+
+
+class TestSharedDataset:
+    def test_same_spec_and_seed_is_the_same_object(self):
+        assert generate_shift_dataset(small_spec(), 21) is generate_shift_dataset(small_spec(), 21)
+
+    @pytest.mark.parametrize("spec, seed", [(small_spec(), 22), (small_spec(n_features=5), 21)])
+    def test_another_seed_or_spec_is_a_new_dataset_equal_to_a_fresh_build(self, spec, seed):
+        first = generate_shift_dataset(small_spec(), 21)
+        ds = generate_shift_dataset(spec, seed)
+        assert ds is not first and (ds.spec, ds.seed) == (spec, seed)
+        got, want = split_arrays(ds), split_arrays(generate_shift_dataset.__wrapped__(spec, seed))
+        assert got.keys() == want.keys()
+        for name, array in want.items():
+            np.testing.assert_array_equal(got[name], array, err_msg=name)
+            assert got[name].dtype == array.dtype, name
+
+    def test_ood_splits_share_the_clean_labels(self):
+        ds = generate_shift_dataset(small_spec(), 23)
+        assert all(split.labels is ds.test.labels for split in ds.ood.values())
+
+    def test_an_in_place_write_to_any_array_raises(self):
+        arrays = split_arrays(generate_shift_dataset(small_spec(), 24))
+        assert len(arrays) == 2 * (2 + len(SHIFT_KINDS) * N_SEVERITIES)
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+    def test_no_field_and_no_ood_entry_can_be_reassigned(self):
+        ds = generate_shift_dataset(small_spec(), 25)
+        for field in ("spec", "seed", "train", "test", "ood"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ds, field, None)
+        for field in ("inputs", "labels"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ds.train, field, None)
+        with pytest.raises(TypeError):
+            ds.ood["rotation", 1] = ds.test
+        with pytest.raises(TypeError):
+            ds.ood["fog", 1] = ds.test
 
 
 class TestFinetuneSubsample:

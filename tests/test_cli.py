@@ -69,6 +69,30 @@ def test_a_file_system_error_is_clean_error(case, tmp_path, conf_file, request, 
     assert capsys.readouterr().err.startswith("error: [Errno ")
 
 
+def test_the_parser_is_built_once_and_every_call_parses_afresh(tmp_path, conf_file,
+                                                              monkeypatch, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    seen, load_config = [], cli.load_config
+
+    def recording_load_config(path, overrides):
+        seen.append(overrides)
+        return load_config(path, overrides=overrides)
+
+    monkeypatch.setattr(cli, "load_config", recording_load_config)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pretrain", "--config", conf_file, "--no-such-flag")
+    assert exc.value.code == 2
+    assert run_cli("pretrain", "--config", conf_file, "--set", f"outdir={tmp_path / 'a'}") == 0
+    assert run_cli("pretrain", "--config", conf_file, "--set", f"outdir={tmp_path / 'b'}",
+                   "--set", f"pretrain.path={tmp_path / 'b.ckpt'}") == 0
+    assert run_cli("pretrain", "--config", conf_file, "--set", f"outdir={tmp_path / 'c'}") == 0
+    assert seen == [{"outdir": str(tmp_path / "a")},
+                    {"outdir": str(tmp_path / "b"), "pretrain.path": str(tmp_path / "b.ckpt")},
+                    {"outdir": str(tmp_path / "c")}]
+    for name in ("a/pretrain.ckpt", "b.ckpt", "c/pretrain.ckpt"):
+        assert (tmp_path / name).exists(), name
+
+
 class TestPretrainFinetune:
     def test_pretrain_then_finetune(self, tmp_path, conf_file, capsys):
         outdir = tmp_path / "run"
@@ -251,6 +275,19 @@ class TestEvaluateAudit:
         monkeypatch.setattr(cli, "load_checkpoint", never)
         assert run_cli("audit", "--checkpoint", tmp_path / "state.ckpt", "--seed", -1) == 2
         assert capsys.readouterr().err.startswith("error: --seed must be at least 0")
+
+    def test_audit_of_more_pairs_than_memory_holds_is_clean_error(self, tmp_path, conf_file,
+                                                                 capsys):
+        outdir = tmp_path / "ft"
+        assert run_cli("finetune", "--config", conf_file, "--set", f"outdir={outdir}") == 0
+        out = tmp_path / "audit.json"
+        capsys.readouterr()
+        # numpy refuses the 57 PiB pair array before it touches any memory
+        assert run_cli("audit", "--checkpoint", outdir / "state.ckpt",
+                       "--pairs", 10**15, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_audit_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         assert run_cli("audit", "--checkpoint", tmp_path / "missing.ckpt") == 2
