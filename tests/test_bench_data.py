@@ -122,7 +122,7 @@ class TestSharedDataset:
     def test_an_in_place_write_to_any_array_raises(self):
         arrays = split_arrays(generate_shift_dataset(small_spec(), 24))
         assert len(arrays) == 2 * (2 + len(SHIFT_KINDS) * N_SEVERITIES)
-        for name, array in arrays.items():
+        for array in arrays.values():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
             with pytest.raises(ValueError, match="read-only"):

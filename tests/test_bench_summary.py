@@ -65,7 +65,29 @@ def test_main_prints_one_line_per_row(tmp_path, capsys):
     benchmark.write_text(json.dumps(BENCHMARK))
     assert load_tool().main([str(bench), "--benchmark", str(benchmark), "--set", "claim"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4
+    assert len(lines) == 5
     assert lines[0].startswith("claim w step_us: parent 104.5 [102.25, 106.75]")
     assert "won 9/10 (parent 1)  claim yes  worse than bound no" in lines[0]
     assert lines[3].endswith("won ?  claim ?  worse than bound ?")
+    assert lines[4] == "claim w operations failed: parent 0/10  change 0/10  more failures no"
+    # one metric: no operations line
+    assert load_tool().main([str(bench), "--benchmark", str(benchmark), "--metric", "calls"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_failed_operations_are_summed_per_side_and_flagged_above_the_parents_share():
+    counts = {"a": [("parent", 1, 100), ("change", 0, 100), ("parent", 0, 100),
+                    ("change", 2, 200)],
+              "b": [("parent", 2, 100), ("change", 1, 100)],
+              "c": [("parent", 1, 100), ("change", 2, 200)]}
+    runs = []
+    for set_name, sides in counts.items():
+        for seed, (side, failed, attempted) in enumerate(sides):
+            runs.append(run(set_name, seed // 2, side, step_us=1.0))
+            runs[-1]["result"].update(failed=failed, attempted=attempted)
+    rows = {r["set"]: r for r in load_tool().failures({"sets": {}, "runs": runs})}
+    assert (rows["a"]["parent"], rows["a"]["change"]) == ((1, 200), (2, 300))
+    # 2/300 is above 1/200; 1/100 is below 2/100; 2/200 equals 1/100
+    assert [rows[k]["more_failures"] for k in "abc"] == [True, False, False]
+    assert load_tool().format_failures(rows["a"]) == (
+        "a w operations failed: parent 1/200  change 2/300  more failures yes")

@@ -70,7 +70,7 @@ def test_a_file_system_error_is_clean_error(case, tmp_path, conf_file, request, 
 
 
 def test_the_parser_is_built_once_and_every_call_parses_afresh(tmp_path, conf_file,
-                                                              monkeypatch, capsys):
+                                                              monkeypatch):
     assert cli.build_parser() is cli.build_parser()
     seen, load_config = [], cli.load_config
 

@@ -9,7 +9,10 @@ For every set, workload and metric it prints one line: the parent's and the
 change's median with their quartiles, the change's median relative to the
 parent's, how many pairs each side won (a tie counts for neither), whether
 the claim rule holds and whether the change is worse than the metric's
-bound. A pair is the parent run and the change run of one seed.
+bound. A pair is the parent run and the change run of one seed. Unless
+``--metric`` is given, each set and workload also gets a line with each
+side's failed and attempted operations, summed over its runs, and whether
+the change's failed share is above the parent's.
 
 - The claim rule: at least 10 pairs, the change better in at least nine
   tenths of them, and the medians apart by more than the parent's
@@ -92,6 +95,23 @@ def summarize(bench: dict, benchmark: dict) -> list[dict]:
     return rows
 
 
+def failures(bench: dict) -> list[dict]:
+    """Failed and attempted operations of each side, per set and workload, in the file's order."""
+    counts: dict = {}
+    for run in bench["runs"]:
+        sides = counts.setdefault((run["set"], run["workload"]), {})
+        failed, attempted = sides.get(run["side"], (0, 0))
+        sides[run["side"]] = (failed + run["result"]["failed"],
+                              attempted + run["result"]["attempted"])
+    rows = []
+    for (set_name, workload), sides in counts.items():
+        parent, change = sides.get("parent", (0, 0)), sides.get("change", (0, 0))
+        share = [f / a if a else 0.0 for f, a in (parent, change)]
+        rows.append({"set": set_name, "workload": workload, "parent": parent, "change": change,
+                     "more_failures": share[1] > share[0]})
+    return rows
+
+
 def _verdict(value) -> str:
     return "?" if value is None else ("yes" if value else "no")
 
@@ -103,6 +123,12 @@ def format_row(row: dict) -> str:
             f"parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  change {c[1]:.6g} [{c[0]:.6g}, "
             f"{c[2]:.6g}]  {100 * row['rel']:+.1f}%  won {won}  "
             f"claim {_verdict(row['claim'])}  worse than bound {_verdict(row['worse'])}")
+
+
+def format_failures(row: dict) -> str:
+    (pf, pa), (cf, ca) = row["parent"], row["change"]
+    return (f"{row['set']} {row['workload']} operations failed: parent {pf}/{pa}  "
+            f"change {cf}/{ca}  more failures {_verdict(row['more_failures'])}")
 
 
 def main(argv=None) -> int:
@@ -117,6 +143,10 @@ def main(argv=None) -> int:
     for row in summarize(bench, benchmark):
         if args.set in (None, row["set"]) and args.metric in (None, row["metric"]):
             print(format_row(row))
+    if args.metric is None:
+        for row in failures(bench):
+            if args.set in (None, row["set"]):
+                print(format_failures(row))
     return 0
 
 
