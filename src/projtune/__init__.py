@@ -6,11 +6,7 @@ Lipschitz-robustness auditor, and a synthetic distribution-shift benchmark
 harness.
 """
 
-from .audit import (
-    LipschitzReport,
-    estimate_diff_lipschitz_lb,
-    verify_lemma1_bound,
-)
+from .audit import estimate_diff_lipschitz_lb, verify_lemma1_bound
 from .baselines import (
     AdamW,
     BaseOnlyOptimizer,
@@ -66,7 +62,6 @@ __all__ = [
     "GammaState",
     "HyperLrState",
     "HyperSgd",
-    "LipschitzReport",
     "ManagedParam",
     "MarsSpOptimizer",
     "MlpSpec",

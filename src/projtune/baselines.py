@@ -55,11 +55,12 @@ class Sgd:
         nesterov: bool = False,
     ):
         if not lr > 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if momentum < 0 or weight_decay < 0:
-            raise ConfigError("momentum and weight_decay must be nonnegative")
+            raise ConfigError(f"must be positive, got {lr}", "lr")
+        for field, value in (("momentum", momentum), ("weight_decay", weight_decay)):
+            if value < 0:
+                raise ConfigError(f"must be nonnegative, got {value}", field)
         if nesterov and momentum == 0:
-            raise ConfigError("nesterov momentum requires momentum > 0")
+            raise ConfigError("needs momentum > 0", "nesterov")
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
@@ -102,9 +103,9 @@ class AdamW:
         weight_decay: float = 0.0,
     ):
         if not lr > 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
+            raise ConfigError(f"must be positive, got {lr}", "lr")
         if weight_decay < 0:
-            raise ConfigError("weight_decay must be nonnegative")
+            raise ConfigError(f"must be nonnegative, got {weight_decay}", "weight_decay")
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])
         self.eps = float(eps)
@@ -168,7 +169,7 @@ def make_base_optimizer(
         return Sgd(lr, momentum=momentum, weight_decay=weight_decay, nesterov=nesterov)
     if kind == "adamw":
         return AdamW(lr, weight_decay=weight_decay)
-    raise ConfigError(f"unknown base optimizer {kind!r}; choose 'sgd' or 'adamw'")
+    raise ConfigError(f"unknown base optimizer {kind!r}; choose 'sgd' or 'adamw'", "kind")
 
 
 class BaseOnlyOptimizer(ProjectedOptimizer):

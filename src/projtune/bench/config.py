@@ -93,32 +93,29 @@ class ExperimentConfig:
             if getattr(self, key) == value and self._changed(ignored):
                 raise ConfigError(f"{key} {value} ignores {self._changed(ignored)}; "
                                   f"leave them at their defaults")
-        # Build what a run builds from the config, so that each owner's checks run at load.
-        # The owners' messages do not name keys, so the error names the owner's keys that
-        # this config changed.
+        # Build what a run builds from the config, so that each owner's checks run at load;
+        # the error names the key of the owner's field at fault. The dataset is checked
+        # before the model, so a bad model width can only come from model.hidden.
         for keys, build in (
-            (_DATASET_KEYS, self.dataset_spec),
-            (_MODEL_KEYS, self.model_spec),
-            (_BASE_KEYS, lambda: make_base_optimizer(
-                self.base, self.lr, momentum=self.momentum, weight_decay=self.weight_decay,
-                nesterov=self.nesterov)),
-            (("pretrain.lr",), lambda: Sgd(self.pretrain_lr)),
-            (("k",), lambda: GammaState(kappa=self.k)),
-            (("exclude_set",), self._check_exclude_set),
+            ({f.name: f"dataset.{f.name}" for f in fields(DatasetSpec)}, self.dataset_spec),
+            ({"widths": "model.hidden", "activations": "model.activation"}, self.model_spec),
+            ({"kind": "base", **{key: key for key in _BASE_KEYS[1:]}},
+             lambda: make_base_optimizer(self.base, self.lr, momentum=self.momentum,
+                                         weight_decay=self.weight_decay, nesterov=self.nesterov)),
+            ({"lr": "pretrain.lr"}, lambda: Sgd(self.pretrain_lr)),
+            ({"kappa": "k"}, lambda: GammaState(kappa=self.k)),
         ):
             try:
                 build()
             except ConfigError as exc:
-                raise ConfigError(f"{', '.join(self._changed(keys))}: {exc}") from None
+                raise ConfigError(exc.reason, keys[exc.field]) from None
+        unknown = set(self.exclude_set) - set(self.model_spec().layer_names())
+        if unknown and self.exclude_set != ("*",):
+            raise ConfigError(f"names not in the model: {sorted(unknown)}", "exclude_set")
 
     def _changed(self, keys) -> list[str]:
         """The ``keys`` whose values differ from their defaults."""
         return [key for key in keys if getattr(self, _FIELDS[key].name) != _FIELDS[key].default]
-
-    def _check_exclude_set(self) -> None:
-        unknown = set(self.exclude_set) - set(self.model_spec().layer_names())
-        if unknown and self.exclude_set != ("*",):
-            raise ConfigError(f"names not in the model: {sorted(unknown)}")
 
     def dataset_spec(self) -> DatasetSpec:
         return DatasetSpec(**{f.name: getattr(self, f"dataset_{f.name}")
@@ -160,8 +157,6 @@ _BASE_KEYS = ("base", "lr", "momentum", "weight_decay", "nesterov")
 # (key, value) -> the keys a run with that value does not read: hyper-sgd learns its own
 # rate, and AdamW has no momentum
 _IGNORES = {("method", "hyper-sgd"): _BASE_KEYS, ("base", "adamw"): ("momentum", "nesterov")}
-_DATASET_KEYS = tuple(key for key in _FIELDS if key.startswith("dataset."))
-_MODEL_KEYS = ("dataset.n_features", "model.hidden", "model.activation", "dataset.n_classes")
 # lower bounds, a number or another key, of the keys that no object built at load checks;
 # the owners of the last four need the run's params or data (finetune_subsample checks
 # finetune.n and finetune.skew again, with each class's count)

@@ -44,6 +44,11 @@ TRANSLATION_STEP = 0.22     # offset along a fixed unit direction
 NOISE_STEP = 0.16           # additive Gaussian stddev
 DROPOUT_STEP = 0.07         # per-entry zeroing probability
 
+# Largest cluster_spread, nuisance_scale or mean_radius whose inputs stay finite: a draw
+# of numpy's ziggurat normal sampler lies within 14 of zero, and a shift at most doubles
+# a coordinate and adds less than 12.
+MAX_SCALE = float(np.finfo(np.float64).max) / 64
+
 # Fixed stream tags so splits and shifts never share random substreams.
 _TAG_TRAIN, _TAG_TEST, _TAG_SHIFT, _TAG_SUBSAMPLE = 1, 2, 3, 4
 
@@ -59,14 +64,17 @@ class DatasetSpec:
     mean_radius: float = 1.6
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ConfigError(f"need at least two classes, got {self.n_classes}")
-        if self.n_features < 2:
-            raise ConfigError(f"need at least two features, got {self.n_features}")
-        if self.n_train < self.n_classes or self.n_test < self.n_classes:
-            raise ConfigError("each split needs at least one sample per class")
-        if self.cluster_spread <= 0 or self.mean_radius <= 0 or self.nuisance_scale < 0:
-            raise ConfigError("spread and radius must be positive, nuisance nonnegative")
+        # each of n_train and n_test holds at least one sample per class
+        for field, least in (("n_classes", 2), ("n_features", 2), ("n_train", self.n_classes),
+                             ("n_test", self.n_classes)):
+            if getattr(self, field) < least:
+                raise ConfigError(f"must be at least {least}, got {getattr(self, field)}", field)
+        for field, positive in (("cluster_spread", True), ("mean_radius", True),
+                                ("nuisance_scale", False)):
+            value = getattr(self, field)
+            if not (value > 0 if positive else value >= 0) or value > MAX_SCALE:
+                raise ConfigError(f"must be {'positive' if positive else 'nonnegative'} and at "
+                                  f"most {MAX_SCALE:.4g}, got {value}", field)
 
     def class_means(self) -> np.ndarray:
         means = np.zeros((self.n_classes, self.n_features))

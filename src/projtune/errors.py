@@ -17,7 +17,16 @@ class UnsupportedShapeError(DomainError):
 
 
 class ConfigError(ValueError):
-    """Invalid hyper-parameter or experiment configuration value."""
+    """Invalid hyper-parameter or experiment configuration value.
+
+    ``field``, when given, names the setting at fault and leads the message;
+    ``reason`` is the message without it, so a caller that built the raiser
+    from settings of its own can name its own setting instead.
+    """
+
+    def __init__(self, reason: str, field: str | None = None):
+        super().__init__(f"{field}: {reason}" if field else reason)
+        self.reason, self.field = reason, field
 
 
 class StateError(RuntimeError):

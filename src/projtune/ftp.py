@@ -152,9 +152,9 @@ class GammaState:
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
-            raise ConfigError(f"annealing rate must lie in [0, 1], got {self.kappa}")
+            raise ConfigError(f"annealing rate must lie in [0, 1], got {self.kappa}", "kappa")
         if self.gamma < 0:
-            raise ConfigError(f"constraint radius must be nonnegative, got {self.gamma}")
+            raise ConfigError(f"constraint radius must be nonnegative, got {self.gamma}", "gamma")
 
     def reset(self, gamma: float = GAMMA_INIT) -> None:
         self.gamma = gamma
@@ -467,9 +467,6 @@ class ProjectedOptimizer:
             else:
                 entries += b.entries(self.params, "value", *last)
         return entries
-
-    def projected_names(self) -> list[str]:
-        return list(self.views)
 
     def radius(self, name: str) -> float:
         return self.gammas[name].gamma

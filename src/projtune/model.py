@@ -111,7 +111,7 @@ class MlpSpec:
         if len(self.widths) < 2:
             raise ConfigError("need at least one layer (input and output width)")
         if any(w <= 0 for w in self.widths):
-            raise ConfigError(f"layer widths must be positive: {self.widths}")
+            raise ConfigError(f"layer widths must be positive: {self.widths}", "widths")
         n_hidden = len(self.widths) - 2
         acts = self.activations
         if len(acts) != n_hidden:
@@ -120,7 +120,7 @@ class MlpSpec:
             )
         unknown = [a for a in acts if a not in ACTIVATIONS]
         if unknown:
-            raise ConfigError(f"unknown activations {unknown}; choose from {sorted(ACTIVATIONS)}")
+            raise ConfigError(f"{unknown} not among {sorted(ACTIVATIONS)}", "activations")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; choose from {LOSSES}")
 
@@ -200,12 +200,13 @@ def forward(
 ) -> np.ndarray:
     """Batch outputs (logits or regression values), shape (batch, out_width).
 
-    Hidden layers are computed in place in two alternating buffers per row
-    count and width, held in ``work``; a caller that passes the same dict to
-    several passes allocates them once. Only the returned output is a fresh
-    array, so no result aliases a buffer. The operations and their order are
-    those of ``_forward_trace``, so the output is bitwise equal to its last
-    activation.
+    Hidden layers are computed in place in two alternating buffers per width,
+    held in ``work``; a pass computes into the contiguous first rows of each,
+    and a buffer grows only when a taller batch arrives. A caller that passes
+    the same dict to several passes allocates them once. Only the returned
+    output is a fresh array, so no result aliases a buffer. The operations
+    and their order are those of ``_forward_trace``, so the output is bitwise
+    equal to its last activation.
     """
     x = _check_inputs(spec, params, inputs)
     if work is None:
@@ -214,10 +215,11 @@ def forward(
     *hidden, top = spec._layers
     for i, layer in enumerate(hidden):
         w = params[layer.weight]
-        key = (x.shape[0], w.shape[0], i % 2)
+        key = (w.shape[0], i % 2)
         buf = work.get(key)
-        if buf is None:
-            buf = work[key] = np.empty((x.shape[0], w.shape[0]), dtype=np.float64)
+        if buf is None or len(buf) < len(x):
+            buf = work[key] = np.empty((len(x), w.shape[0]), dtype=np.float64)
+        buf = buf[:len(x)]
         np.matmul(h, w.T, out=buf)
         buf += params[layer.bias]
         h = layer.act(buf, out=buf)

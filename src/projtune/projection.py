@@ -58,9 +58,6 @@ class ProjectionView:
             )
         return np.ascontiguousarray(tensor, dtype=np.float64).reshape(self.rows, self.cols)
 
-    def from_2d(self, mat: np.ndarray) -> np.ndarray:
-        return np.asarray(mat, dtype=np.float64).reshape(self.source_shape)
-
 
 def canonicalize(tensor, name: str = "") -> ProjectionView:
     """Build the canonical 2-D view for a tensor.

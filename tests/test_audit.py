@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import projtune.model as model_mod
 from projtune.audit import (
+    AUDIT_CHUNK_ROWS,
     ONE_LIPSCHITZ_ACTIVATIONS,
     estimate_diff_lipschitz_lb,
     gaussian_pair_sampler,
@@ -13,7 +15,7 @@ from projtune.audit import (
     verify_lemma1_bound,
 )
 from projtune.errors import DomainError
-from projtune.model import MlpSpec, init_params
+from projtune.model import MlpSpec, forward, init_params
 from projtune.numerics import SeededRng, mars_norm
 from projtune.projection import project_rows
 
@@ -177,6 +179,109 @@ class TestLemma1Bound:
         assert data["n_pairs"] == 100
         assert data["layers"][0]["name"] == "layer0.weight"
         assert data["bound_satisfied"] is True
+
+
+def tuned_pair(widths, seed=21):
+    """A tanh net and a copy of it moved by small noise, as (spec, fine-tuned, anchor)."""
+    spec = MlpSpec(widths=widths, activations=("tanh",) * (len(widths) - 2))
+    rng = SeededRng(seed)
+    params_0 = init_params(spec, rng.derive(0))
+    params_f = {name: v + rng.derive(1, i).normal(v.shape, stddev=0.05)
+                for i, (name, v) in enumerate(params_0.items())}
+    return spec, params_f, params_0
+
+
+def recording(sampler):
+    """``sampler``, keeping each draw it returns in the list ``draws``."""
+    draws = []
+
+    def sample(n):
+        draws.append(sampler(n))
+        return draws[-1]
+
+    return sample, draws
+
+
+def whole_pass_ratios(spec, params_f, params_0, x, x_prime):
+    """Both sampled maxima of the audit, from one forward pass over all rows."""
+    denom = np.abs(x - x_prime).max(axis=1)
+    hf = forward(spec, params_f, x) - forward(spec, params_f, x_prime)
+    h0 = forward(spec, params_0, x) - forward(spec, params_0, x_prime)
+    return (np.abs(hf).max(axis=1) / denom).max(), (np.abs(hf - h0).max(axis=1) / denom).max()
+
+
+class TestChunkedAudit:
+    @pytest.mark.parametrize("widths", [(8, 16, 16, 4), (8, 512, 512, 4)],
+                             ids=["desk", "wide"])
+    @pytest.mark.parametrize("n_pairs", [1, 2047, 4095, 4096, 10_000, 20_001])
+    def test_report_is_bitwise_the_whole_pass(self, widths, n_pairs):
+        spec, params_f, params_0 = tuned_pair(widths)
+        diff = params_f["layer0.weight"] - params_0["layer0.weight"]
+        sampler, draws = recording(mixed_pair_sampler(SeededRng(n_pairs), 8,
+                                                      probe_matrices=[diff]))
+        ok, report = verify_lemma1_bound(spec, params_f, params_0, sampler, n_pairs)
+        ratio, diff_lb = whole_pass_ratios(spec, params_f, params_0, *draws[0])
+        assert report.n_pairs == n_pairs
+        assert report.network_ratio_max.hex() == float(ratio).hex()
+        assert report.diff_lipschitz_lb.hex() == float(diff_lb).hex()
+        assert ok == (ratio <= report.network_upper_bound + 1e-9)
+
+    def test_coincident_pairs_are_dropped_before_chunking(self):
+        spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
+
+        def some_coincident(n):
+            x, x_prime = gaussian_pair_sampler(SeededRng(4), 8)(n)
+            x_prime[::3] = x[::3]
+            return x, x_prime
+
+        sampler, draws = recording(some_coincident)
+        _, report = verify_lemma1_bound(spec, params_f, params_0, sampler, 9000)
+        x, x_prime = draws[0]
+        keep = np.abs(x - x_prime).max(axis=1) > 0
+        ratio, diff_lb = whole_pass_ratios(spec, params_f, params_0, x[keep], x_prime[keep])
+        assert report.n_pairs == 6000
+        assert (report.network_ratio_max, report.diff_lipschitz_lb) == (ratio, diff_lb)
+
+    def test_nan_weight_gives_nan_report_and_a_failed_bound(self):
+        spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
+        params_f["layer1.weight"][3, 2] = np.nan
+        ok, report = verify_lemma1_bound(spec, params_f, params_0,
+                                         gaussian_pair_sampler(SeededRng(1), 8), 10_000)
+        assert not ok and not report.bound_satisfied
+        assert np.isnan(report.network_ratio_max) and np.isnan(report.diff_lipschitz_lb)
+
+    def test_nan_in_a_later_chunk_reaches_the_report(self):
+        # an infinite input row turns into NaN in the net; it sits in the last chunk only
+        spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
+
+        def late_infinity(n):
+            x, x_prime = gaussian_pair_sampler(SeededRng(2), 8)(n)
+            x[n - 1] = np.inf
+            return x, x_prime
+
+        n_pairs = 3 * AUDIT_CHUNK_ROWS
+        with np.errstate(invalid="ignore"):
+            ok, report = verify_lemma1_bound(spec, params_f, params_0, late_infinity, n_pairs)
+        assert report.n_pairs == n_pairs
+        assert not ok
+        assert np.isnan(report.network_ratio_max) and np.isnan(report.diff_lipschitz_lb)
+
+    # the 200,000 pairs run on one hidden layer: on 8-512-512-4 they take about 9 s, and
+    # the whole draws (24.4 MiB) plus the two 512-wide buffers (16.1 MiB) already exceed
+    # 40 MiB there
+    @pytest.mark.parametrize("widths, n_pairs, limit_mib", [
+        ((8, 512, 512, 4), 10_000, 25), ((8, 512, 4), 200_000, 40),
+    ])
+    def test_traced_peak_is_bounded(self, widths, n_pairs, limit_mib):
+        spec, params_f, params_0 = tuned_pair(widths)
+        sampler = gaussian_pair_sampler(SeededRng(3), 8)
+        tracemalloc.start()
+        try:
+            verify_lemma1_bound(spec, params_f, params_0, sampler, n_pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 class TestReverseTriangle:

@@ -311,9 +311,9 @@ class TestTpgm:
         for name, p in params.items():
             w_tilde = base_clone.step(name, p.value.copy(), p.grad)
             view = opt.views[name]
-            expected[name] = view.from_2d(
-                project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor), opt.gammas[name].gamma)
-            )
+            expected[name] = project_rows(
+                view.to_2d(w_tilde), view.to_2d(p.anchor), opt.gammas[name].gamma
+            ).reshape(view.source_shape)
         opt.step()
         for name in params:
             np.testing.assert_array_equal(params[name].value, expected[name])
@@ -399,9 +399,9 @@ class TestTpgm:
                 # validation-loop form: gradient of the same batch at the
                 # projected model, chained through the fresh W_tilde_t
                 probe = dict(values)
-                probe[name] = view.from_2d(
-                    project_rows(view.to_2d(w_tilde[name]), view.to_2d(p.anchor), gamma)
-                )
+                probe[name] = project_rows(
+                    view.to_2d(w_tilde[name]), view.to_2d(p.anchor), gamma
+                ).reshape(view.source_shape)
                 _, val_grads = backward(spec, probe, batch)
                 tpgm_grad = hyper_gradient(
                     view.to_2d(val_grads[name]), view.to_2d(w_tilde[name]),

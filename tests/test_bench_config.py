@@ -2,9 +2,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from projtune.baselines import Sgd
 from projtune.bench.config import ExperimentConfig, load_config, parse_config_text
+from projtune.bench.data import MAX_SCALE, DatasetSpec, generate_shift_dataset
 from projtune.bench.run import model_spec_from_config
 from projtune.errors import ConfigError
 from projtune.model import MlpSpec
@@ -210,3 +213,46 @@ class TestWhatARunBuilds:
     def test_anchor_path(self):
         assert ExperimentConfig(outdir="o").anchor_path() == Path("o") / "pretrain.ckpt"
         assert ExperimentConfig(outdir="o", pretrain_path="a.ckpt").anchor_path() == Path("a.ckpt")
+
+
+class TestOwnerErrorsNameTheKeyAtFault:
+    # each case's last key is the one at fault; the others are changed and valid
+    @pytest.mark.parametrize("case", [
+        "dataset.n_train=600 dataset.n_test=200 dataset.cluster_spread=0",
+        "dataset.n_train=600 dataset.mean_radius=-1",
+        "dataset.mean_radius=2 dataset.nuisance_scale=-0.5",
+        "dataset.n_classes=5 dataset.n_test=4",
+        "dataset.n_features=6 model.hidden=8 model.activation=sigmoid",
+        "dataset.n_classes=3 model.hidden=8,0",
+        "momentum=0.5 weight_decay=0.1 lr=-1",
+        "lr=0.5 momentum=-1", "lr=0.5 weight_decay=-1", "lr=0.5 momentum=0 nesterov=true",
+        "lr=0.5 base=sgdd", "lr=0.5 pretrain.lr=0", "method=ftp lr=0.5 k=2",
+        "lr=0.5 exclude_set=layer9.weight",
+    ])
+    def test_only_the_key_at_fault_is_named(self, case):
+        *valid, fault = [pair.split("=") for pair in case.split()]
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("\n".join(f"{k} = {v}" for k, v in [*valid, fault]))
+        assert str(err.value).startswith(f"{fault[0]}: ")
+
+    def test_an_owner_used_alone_names_its_own_field(self):
+        with pytest.raises(ConfigError, match=r"^cluster_spread: must be positive"):
+            DatasetSpec(cluster_spread=0.0)
+        with pytest.raises(ConfigError, match=r"^lr: must be positive"):
+            Sgd(-1.0)
+
+
+class TestDatasetScalesKeepInputsFinite:
+    @pytest.mark.parametrize("key", ["dataset.cluster_spread", "dataset.nuisance_scale",
+                                     "dataset.mean_radius"])
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "3e306"])
+    def test_a_scale_whose_inputs_overflow_is_rejected_at_load(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: must be "):
+            parse_config_text(f"{key} = {value}\n")
+
+    def test_the_largest_accepted_scales_give_finite_inputs(self):
+        spec = DatasetSpec(n_train=400, n_test=200, cluster_spread=MAX_SCALE,
+                           nuisance_scale=MAX_SCALE, mean_radius=MAX_SCALE)
+        data = generate_shift_dataset(spec, 3)
+        for split in (data.train, data.test, *data.ood.values()):
+            assert np.isfinite(split.inputs).all()

@@ -168,6 +168,7 @@ class TestPretrainFinetune:
         "model.activation=sigmoid", "method=ftp exclude_set=layer9.weight",
         "base=adamw nesterov=true", "base=adamw momentum=0.5", "finetune.skew=7",
         "finetune.skew=0", "finetune.n=2", "dataset.n_classes=5 finetune.n=4",
+        "dataset.cluster_spread=1e308", "dataset.nuisance_scale=1e308",
     ])
     def test_a_key_out_of_range_is_clean_error_before_any_run(self, tmp_path, conf_file, case,
                                                               capsys):
@@ -229,6 +230,55 @@ def test_adversarial_config_input_is_a_config_or_a_clean_error(pairs):
         conf.write_text(TINY_CONF, encoding="utf-8")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["finetune", "--config", str(conf), "--set", f"outdir={tmp}/run", *argv])
+    assert code in (0, 2)
+
+
+def quiet_exit_code(argv) -> int:
+    """``main(argv)``'s exit code, argparse's usage errors included, with its output hidden."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@pytest.fixture(scope="module")
+def tiny_ft_checkpoint(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    conf = root / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    assert quiet_exit_code(["finetune", "--config", str(conf), "--set", f"outdir={root}"]) == 0
+    return conf, root / "state.ckpt"
+
+
+# argument text that is no integer, or an integer of at most 3000
+ODD_TEXT = st.one_of(st.sampled_from(["", "1.5", "1e3", "0x10", "nan", " 7", "-0", "+3"]),
+                     st.text(st.characters(exclude_categories=("Nd",)), max_size=6))
+
+
+def integer_text(max_value):
+    return st.one_of(st.integers(min_value=-10**40, max_value=max_value).map(str), ODD_TEXT)
+
+
+# --pairs stays at a few thousand, so no draw allocates much
+@settings(max_examples=60, deadline=None)
+@given(pairs=integer_text(3000), seed=integer_text(10**40))
+def test_adversarial_audit_arguments_exit_cleanly(tiny_ft_checkpoint, pairs, seed):
+    _, ckpt = tiny_ft_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        code = quiet_exit_code(["audit", "--checkpoint", str(ckpt), f"--pairs={pairs}",
+                                f"--seed={seed}", "--out", f"{tmp}/audit.json"])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds=st.one_of(st.lists(integer_text(10**40), max_size=2).map(",".join),
+                      integer_text(10**40)))
+def test_adversarial_sweep_seeds_exit_cleanly(tiny_ft_checkpoint, seeds):
+    conf, _ = tiny_ft_checkpoint
+    with tempfile.TemporaryDirectory() as tmp:
+        code = quiet_exit_code(["sweep", "--config", str(conf), "--methods", "ft",
+                                f"--seeds={seeds}", "--outdir", f"{tmp}/sweep"])
     assert code in (0, 2)
 
 

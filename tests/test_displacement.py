@@ -108,8 +108,8 @@ def reference_base_step(params, base, views, radius):
         if name in views:
             view = views[name]
             p.prev_unconstrained = w_tilde
-            w_tilde = view.from_2d(project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor),
-                                                radius(name)))
+            w_tilde = project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor),
+                                   radius(name)).reshape(view.source_shape)
         p.value = w_tilde
         p.grad = None
 
@@ -128,8 +128,8 @@ def reference_ftp_step(params, base, views, gammas):
                 adam_update_gamma(gs, anneal_gradient(raw, gs.kappa))
             w_tilde = base.step(name, p.value, p.grad)
             p.prev_unconstrained = w_tilde
-            p.value = view.from_2d(project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor),
-                                                gs.gamma))
+            p.value = project_rows(view.to_2d(w_tilde), view.to_2d(p.anchor),
+                                   gs.gamma).reshape(view.source_shape)
         p.grad = None
 
 
@@ -140,9 +140,8 @@ def reference_tpgm_step(params, base, views, gammas, grad_fn, val_batches):
     def projected():
         out = dict(w_tilde)
         for name, view in views.items():
-            out[name] = view.from_2d(project_rows(view.to_2d(w_tilde[name]),
-                                                  view.to_2d(params[name].anchor),
-                                                  gammas[name].gamma))
+            out[name] = project_rows(view.to_2d(w_tilde[name]), view.to_2d(params[name].anchor),
+                                     gammas[name].gamma).reshape(view.source_shape)
         return out
 
     for batch in val_batches:
@@ -603,7 +602,8 @@ def test_cached_hyper_gradient_matches_finite_differences(shape, seed, frac):
         return float((coef * np.sin(w)).sum())
 
     def loss_at(g):
-        return loss(view.from_2d(project_rows(view.to_2d(w_tilde), view.to_2d(anchor), g)))
+        return loss(project_rows(view.to_2d(w_tilde), view.to_2d(anchor), g)
+                    .reshape(view.source_shape))
 
     params = make_managed({"t": anchor})
     opt = FtpOptimizer(params, Sgd(lr=1.0), gamma_init=gamma)  # k = 1: no annealing

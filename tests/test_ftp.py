@@ -188,8 +188,7 @@ class TestFtpOptimizer:
         opt = FtpOptimizer(params, Sgd(lr=0.1))
         assign_grads(spec, params, batch)
         opt.step()
-        for name in opt.projected_names():
-            view = opt.views[name]
+        for name, view in opt.views.items():
             d = mars_norm(view.to_2d(params[name].value) - view.to_2d(params[name].anchor))
             assert d <= GAMMA_INIT + 1e-9
 
@@ -217,7 +216,7 @@ class TestFtpOptimizer:
             plain.step()
         for name in params_a:
             np.testing.assert_array_equal(params_a[name].value, params_b[name].value)
-        assert ftp.projected_names() == []
+        assert not ftp.views
 
     def test_kappa_zero_gamma_nondecreasing(self):
         spec, params, batch = toy_setup(4)

@@ -139,14 +139,21 @@ class TestStreamingForward:
         for buf in [second, *work.values()]:
             assert not np.shares_memory(first, buf)
 
-    def test_work_holds_at_most_two_buffers_per_rows_and_width(self):
+    def test_work_holds_at_most_two_buffers_per_width_grown_to_the_tallest_batch(self):
         spec, params = self.net((6, 16, 16, 16, 32, 16, 3), "relu")
         work: dict = {}
         for rows in (10, 10, 20, 10):
             forward(spec, params, np.ones((rows, 6)), work=work)
-        assert Counter(buf.shape for buf in work.values()) == {
-            (10, 16): 2, (10, 32): 1, (20, 16): 2, (20, 32): 1,
-        }
+        assert Counter(buf.shape for buf in work.values()) == {(20, 16): 2, (20, 32): 1}
+
+    def test_a_shorter_batch_after_a_taller_one_is_bitwise_its_own_pass(self):
+        spec, params = self.net((6, 512, 512, 4), "tanh")
+        work: dict = {}
+        for rows in (4096, 4095, 2048, 1):
+            x = SeededRng(rows).normal((rows, 6))
+            assert forward(spec, params, x, work=work).tobytes() == \
+                forward(spec, params, x).tobytes()
+        assert [buf.shape for buf in work.values()] == [(4096, 512)] * 2
 
 
 class TestBackward:

@@ -32,7 +32,7 @@ class TestCanonicalize:
     def test_roundtrip_preserves_elements(self):
         t = SeededRng(0).normal((4, 2, 3))
         v = canonicalize(t)
-        np.testing.assert_array_equal(v.from_2d(v.to_2d(t)), t)
+        np.testing.assert_array_equal(v.to_2d(t).reshape(v.source_shape), t)
         assert v.rows * v.cols == t.size
 
 
