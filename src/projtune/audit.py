@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DomainError
-from .model import ACTIVATIONS, MlpSpec, NamedParams, forward
+from .model import ACTIVATIONS, MlpSpec, NamedParams, check_tensors, forward
 from .numerics import SeededRng, mars_norm
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "LipschitzReport",
     "PairSampler",
     "estimate_diff_lipschitz_lb",
-    "gaussian_pair_sampler",
     "mixed_pair_sampler",
     "sign_probe_inputs",
     "verify_lemma1_bound",
@@ -63,26 +62,15 @@ def sign_probe_inputs(diff: np.ndarray) -> np.ndarray:
     return np.sign(np.asarray(diff, dtype=np.float64))
 
 
-def gaussian_pair_sampler(rng: SeededRng, dim: int, scale: float = 1.0) -> PairSampler:
-    """Independent Gaussian input pairs."""
-
-    def sample(n: int) -> tuple[np.ndarray, np.ndarray]:
-        return rng.normal((n, dim), stddev=scale), rng.normal((n, dim), stddev=scale)
-
-    return sample
-
-
 def mixed_pair_sampler(
-    rng: SeededRng,
-    dim: int,
-    probe_matrices: Iterable[np.ndarray] = (),
-    scale: float = 1.0,
+    rng: SeededRng, dim: int, probe_matrices: Iterable[np.ndarray] = ()
 ) -> PairSampler:
-    """Sign probes for each probe-matrix row first, then Gaussian pairs.
+    """Sign probes for each probe-matrix row first, then standard Gaussian pairs.
 
     Pairing each probe with the origin keeps the denominator at 1, so a
     linear-layer lower bound attains the MARS norm instead of hovering below
-    it the way random directions do.
+    it the way random directions do. Without probes, ``n`` pairs are
+    ``rng.normal((n, dim))`` and then another such draw.
     """
     probes = []
     for mat in probe_matrices:
@@ -95,10 +83,10 @@ def mixed_pair_sampler(
     def sample(n: int) -> tuple[np.ndarray, np.ndarray]:
         head = probe_block[:n]
         rest = n - head.shape[0]
-        xs = np.vstack([head, rng.normal((rest, dim), stddev=scale)]) if rest else head.copy()
+        xs = np.vstack([head, rng.normal((rest, dim))]) if rest else head.copy()
         x_prime = np.zeros_like(xs)
         if rest:
-            x_prime[head.shape[0]:] = rng.normal((rest, dim), stddev=scale)
+            x_prime[head.shape[0]:] = rng.normal((rest, dim))
         return xs, x_prime
 
     return sample
@@ -189,6 +177,8 @@ def verify_lemma1_bound(
                 f"activation {act!r} is not certified 1-Lipschitz"
                 + ("" if known else " (and is unknown to the model kit)")
             )
+    check_tensors(spec, params_f, "fine-tuned params")
+    check_tensors(spec, params_0, "anchor params")
 
     layers = [
         LayerNorms(

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .ftp import (
-    GAMMA_INIT,
     GammaState,
     ManagedParam,
     ProjectedOptimizer,
@@ -95,20 +94,13 @@ class Sgd:
 class AdamW:
     """Adam with decoupled weight decay applied before the moment update."""
 
-    def __init__(
-        self,
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         if not lr > 0:
             raise ConfigError(f"must be positive, got {lr}", "lr")
         if weight_decay < 0:
             raise ConfigError(f"must be nonnegative, got {weight_decay}", "weight_decay")
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.weight_decay = float(weight_decay)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -187,34 +179,26 @@ class BaseOnlyOptimizer(ProjectedOptimizer):
 class MarsSpOptimizer(ProjectedOptimizer):
     """Base step followed by projection with fixed radii.
 
-    ``gamma`` is either one shared radius for every layer (the usual,
-    hand-tuned setting) or a per-tensor mapping, which supports replaying the
-    radii another method learned. ``gamma = inf`` is an explicit sentinel for
-    "never clamp", which makes the trajectory identical to the base optimizer
-    alone. Nothing is learned, so ``gammas`` stays empty.
+    ``gamma`` is one shared, hand-tuned radius for every projected tensor.
+    ``gamma = inf`` is an explicit sentinel for "never clamp", which makes
+    the trajectory identical to the base optimizer alone. Nothing is
+    learned, so ``gammas`` stays empty.
     """
 
     def __init__(
         self,
         params: dict[str, ManagedParam],
         base,
-        gamma,
+        gamma: float,
         exclude_set: Iterable[str] = (),
     ):
         super().__init__(params, base, exclude_set)
-        if isinstance(gamma, dict):
-            missing = set(self.views) - set(gamma)
-            if missing:
-                raise ConfigError(f"per-tensor radii missing for: {sorted(missing)}")
-            self.fixed_gammas = {name: float(gamma[name]) for name in self.views}
-        else:
-            self.fixed_gammas = {name: float(gamma) for name in self.views}
-        bad = {n: g for n, g in self.fixed_gammas.items() if not g >= 0}
-        if bad:
-            raise ConfigError(f"radii must be nonnegative, got {bad}")
+        self.fixed_gamma = float(gamma)
+        if not self.fixed_gamma >= 0:
+            raise ConfigError(f"radius must be nonnegative, got {self.fixed_gamma}")
 
     def radius(self, name: str) -> float:
-        return self.fixed_gammas[name]
+        return self.fixed_gamma
 
     step = BaseOnlyOptimizer.step
 
@@ -243,7 +227,6 @@ class TpgmOptimizer(ProjectedOptimizer):
         val_batches: Iterable[Sequence[Batch]],
         inner_iters: int = 1,
         exclude_set: Iterable[str] = (),
-        gamma_init: float = GAMMA_INIT,
     ):
         if inner_iters < 0:
             raise ConfigError(f"inner_iters must be nonnegative, got {inner_iters}")
@@ -251,7 +234,7 @@ class TpgmOptimizer(ProjectedOptimizer):
         self.grad_fn = grad_fn
         self.val_batches = iter(val_batches)
         self.inner_iters = int(inner_iters)
-        self.gammas = {name: GammaState(gamma=gamma_init) for name in self.views}
+        self.gammas = {name: GammaState() for name in self.views}
         self._probes = [np.empty_like(b.value) for b in self._projected]
         # per turn of the updates: the weights each inner iteration evaluates
         self._probe_views = tuple(

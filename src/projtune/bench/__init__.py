@@ -10,7 +10,7 @@ from .data import (
     finetune_subsample,
     generate_shift_dataset,
 )
-from .record import RunRecord, emit_metrics, read_record_json, write_summary
+from .record import RunRecord, emit_metrics, write_summary
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .run import evaluate, pretrain, run_experiment
 
@@ -31,7 +31,6 @@ __all__ = [
     "load_config",
     "parse_config_text",
     "pretrain",
-    "read_record_json",
     "run_experiment",
     "save_checkpoint",
     "write_summary",

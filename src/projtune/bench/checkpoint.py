@@ -184,25 +184,30 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(blob, zlib.crc32(header)) != crc:
         raise PersistenceError("checkpoint checksum mismatch")
 
-    obj = json.loads(header.decode("utf-8"))
-    spec = MlpSpec(
-        widths=tuple(obj["spec"]["widths"]),
-        activations=tuple(obj["spec"]["activations"]),
-        loss=obj["spec"]["loss"],
-    )
-    ckpt = Checkpoint(
-        model_spec=spec,
-        iteration=int(obj["iteration"]),
-        gammas={k: dict(v) for k, v in obj["gammas"].items()},
-        optimizer=dict(obj["optimizer_meta"]),
-        rng=dict(obj["rng"]),
-        extra=dict(obj["extra"]),
-    )
-    if obj["spec_hash"] != ckpt.spec_hash:
-        raise PersistenceError("model spec hash mismatch")
-    groups = {"values": ckpt.values, "anchors": ckpt.anchors,
-              "prev": ckpt.prev_unconstrained, "opt": {}}
-    for group, name, start, end, shape in _array_spans(obj["arrays"], blob_len, groups):
-        groups[group][name] = blob[start:end].view("<f8").reshape(shape)
+    # a header that passed the CRC but is not the object save_checkpoint writes
+    try:
+        obj = json.loads(header.decode("utf-8"))
+        spec = MlpSpec(
+            widths=tuple(obj["spec"]["widths"]),
+            activations=tuple(obj["spec"]["activations"]),
+            loss=obj["spec"]["loss"],
+        )
+        ckpt = Checkpoint(
+            model_spec=spec,
+            iteration=int(obj["iteration"]),
+            gammas={k: dict(v) for k, v in obj["gammas"].items()},
+            optimizer=dict(obj["optimizer_meta"]),
+            rng=dict(obj["rng"]),
+            extra=dict(obj["extra"]),
+        )
+        if obj["spec_hash"] != ckpt.spec_hash:
+            raise PersistenceError("model spec hash mismatch")
+        groups = {"values": ckpt.values, "anchors": ckpt.anchors,
+                  "prev": ckpt.prev_unconstrained, "opt": {}}
+        for group, name, start, end, shape in _array_spans(obj["arrays"], blob_len, groups):
+            groups[group][name] = blob[start:end].view("<f8").reshape(shape)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"malformed checkpoint header ({type(exc).__name__}: {exc})") from None
     ckpt.optimizer["tensors"] = groups["opt"]
     return ckpt

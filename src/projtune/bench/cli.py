@@ -11,6 +11,7 @@ from pathlib import Path
 
 from ..audit import mixed_pair_sampler, verify_lemma1_bound
 from ..errors import ConfigError, DomainError, PersistenceError, RunError
+from ..model import check_tensors
 from ..numerics import SeededRng
 from .checkpoint import load_checkpoint
 from .config import METHODS, load_config
@@ -80,6 +81,8 @@ def cmd_audit(args) -> int:
     if not ckpt.anchors:
         raise RunError(f"checkpoint {args.checkpoint} carries no anchors to audit against")
     spec = ckpt.model_spec
+    check_tensors(spec, ckpt.values, "checkpoint values")
+    check_tensors(spec, ckpt.anchors, "checkpoint anchors")
     diffs = [
         ckpt.values[f"layer{i}.weight"] - ckpt.anchors[f"layer{i}.weight"]
         for i in range(spec.n_layers)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from ..errors import ConfigError, DomainError
 
-__all__ = ["FIXED_COLUMNS", "RunRecord", "emit_metrics", "read_record_json", "write_summary"]
+__all__ = ["FIXED_COLUMNS", "RunRecord", "emit_metrics", "write_summary"]
 
 FIXED_COLUMNS = ("iter", "loss", "secs_per_iter", "fwd_count", "bwd_count")
 
@@ -122,21 +122,6 @@ def emit_metrics(record: RunRecord, fmt: str, path) -> None:
         raise ConfigError(f"unknown metrics format {fmt!r}; choose 'csv' or 'json'")
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(payload)
-
-
-def read_record_json(path) -> RunRecord:
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    columns = obj["columns"]
-    if tuple(columns[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise DomainError(f"unexpected leading columns: {columns}")
-    gamma_names = tuple(c[len("gamma."):] for c in columns[len(FIXED_COLUMNS):])
-    record = RunRecord(gamma_names=gamma_names, summary=dict(obj.get("summary", {})))
-    for row in obj["rows"]:
-        fixed = row[: len(FIXED_COLUMNS)]
-        gammas = dict(zip(gamma_names, row[len(FIXED_COLUMNS):]))
-        record.add_row(fixed[0], fixed[1], fixed[2], fixed[3], fixed[4], gammas)
-    return record
 
 
 def write_summary(record: RunRecord, path) -> None:

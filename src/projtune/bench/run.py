@@ -31,7 +31,7 @@ from ..baselines import (
 from ..errors import DomainError, RunError, StateError
 from ..ftp import FtpOptimizer, GammaState, make_managed
 from ..hyperlr import HyperSgd
-from ..model import Batch, MlpSpec, backward, forward, init_params
+from ..model import Batch, MlpSpec, backward, check_tensors, forward, init_params
 from ..numerics import SeededRng
 
 # The constraint check runs in the optimizer; this name is kept so that
@@ -241,8 +241,9 @@ def _run_checkpoint(
 def _load_resume(path, config: ExperimentConfig, spec: MlpSpec, total_iters: int) -> Checkpoint:
     """The checkpoint at ``path``, checked to be a mid-run state of this very run.
 
-    A checkpoint of another model, method or seed, or one at or past the
-    run's last iteration, raises RunError.
+    A checkpoint of another model, method or seed, one whose values or
+    anchors do not fit the model, or one at or past the run's last
+    iteration, raises RunError.
     """
     if not Path(path).exists():
         raise RunError(f"resume checkpoint {path} not found")
@@ -253,6 +254,11 @@ def _load_resume(path, config: ExperimentConfig, spec: MlpSpec, total_iters: int
         if stored != wanted:
             raise RunError(f"resume checkpoint was written with {what} {stored!r}, "
                            f"this run has {what} {wanted!r}")
+    try:
+        check_tensors(spec, ckpt.values, "its values")
+        check_tensors(spec, ckpt.anchors, "its anchors")
+    except DomainError as exc:
+        raise RunError(f"resume checkpoint {path} does not fit this run: {exc}") from None
     if not ckpt.iteration < total_iters:
         raise RunError(f"resume checkpoint {path} is at iteration {ckpt.iteration}, "
                        f"this run ends at iteration {total_iters}")

@@ -156,8 +156,8 @@ class GammaState:
         if self.gamma < 0:
             raise ConfigError(f"constraint radius must be nonnegative, got {self.gamma}", "gamma")
 
-    def reset(self, gamma: float = GAMMA_INIT) -> None:
-        self.gamma = gamma
+    def reset(self) -> None:
+        self.gamma = GAMMA_INIT
         self.m = 0.0
         self.v = 0.0
         self.t = 0
@@ -243,11 +243,7 @@ def adam_update_gamma(state: GammaState, grad: float) -> float:
     return raw
 
 
-def rebase_anchor(
-    params: dict[str, ManagedParam],
-    gammas: dict[str, GammaState],
-    gamma_init: float = GAMMA_INIT,
-) -> None:
+def rebase_anchor(params: dict[str, ManagedParam], gammas: dict[str, GammaState]) -> None:
     """Adopt the current weights as the new anchor and restart constraint learning.
 
     Used between sequential tasks: anchors become the current values, all
@@ -258,7 +254,7 @@ def rebase_anchor(
         p.anchor = np.array(p.value, copy=True)
         p.prev_unconstrained = None
     for gs in gammas.values():
-        gs.reset(gamma_init)
+        gs.reset()
 
 
 class _Strip(NamedTuple):
@@ -544,8 +540,8 @@ class ProjectedOptimizer:
                 covered.append(b)
         return covered
 
-    def rebase_anchor(self, gamma_init: float = GAMMA_INIT) -> None:
-        rebase_anchor(self.params, self.gammas, gamma_init=gamma_init)
+    def rebase_anchor(self) -> None:
+        rebase_anchor(self.params, self.gammas)
 
     def constraint_excess(self) -> Optional[float]:
         """Worst row distance from the anchor minus the row's radius; None if nothing projects.
@@ -677,10 +673,9 @@ class FtpOptimizer(ProjectedOptimizer):
         base,
         k: float = 1.0,
         exclude_set: Iterable[str] = (),
-        gamma_init: float = GAMMA_INIT,
     ):
         super().__init__(params, base, exclude_set)
-        self.gammas = {name: GammaState(gamma=gamma_init, kappa=k) for name in self.views}
+        self.gammas = {name: GammaState(kappa=k) for name in self.views}
 
     def step(self) -> None:
         """One optimization step; consumes the gradients stored on the params.

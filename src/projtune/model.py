@@ -26,6 +26,7 @@ __all__ = [
     "MlpSpec",
     "NamedParams",
     "backward",
+    "check_tensors",
     "evaluate_loss",
     "finite_diff_grad",
     "forward",
@@ -158,7 +159,7 @@ def init_params(spec: MlpSpec, rng: SeededRng) -> NamedParams:
             else np.zeros(shape, dtype=np.float64) for name, shape in spec._shapes.items()}
 
 
-def _check_tensors(spec: MlpSpec, tensors: NamedParams, role: str, dtype=None) -> None:
+def check_tensors(spec: MlpSpec, tensors: NamedParams, role: str, dtype=None) -> None:
     """Every tensor of ``spec`` is in ``tensors`` with its shape (and ``dtype``, if given)."""
     for name, shape in spec._shapes.items():
         t = tensors.get(name)
@@ -179,7 +180,7 @@ def _check_inputs(spec: MlpSpec, params: NamedParams, inputs: np.ndarray) -> np.
         raise DomainError(
             f"input width {x.shape[1]} does not match first layer width {spec.widths[0]}"
         )
-    _check_tensors(spec, params, "params")
+    check_tensors(spec, params, "params")
     return x
 
 
@@ -297,7 +298,7 @@ def backward(
     it was. So is an empty batch, whose mean loss is undefined.
     """
     if out is not None:
-        _check_tensors(spec, out, "out", np.float64)
+        check_tensors(spec, out, "out", np.float64)
     acts = _forward_trace(spec, params, batch.inputs)
     loss, delta = _loss_and_delta(spec, acts[-1], batch.targets)
     grads: NamedParams = dict.fromkeys(spec._shapes)  # type: ignore[arg-type]

@@ -9,7 +9,6 @@ from projtune.audit import (
     AUDIT_CHUNK_ROWS,
     ONE_LIPSCHITZ_ACTIVATIONS,
     estimate_diff_lipschitz_lb,
-    gaussian_pair_sampler,
     mixed_pair_sampler,
     sign_probe_inputs,
     verify_lemma1_bound,
@@ -28,6 +27,19 @@ class TestLayerUpper:
         assert max(ratios) == pytest.approx(mars_norm(w), abs=1e-9)
 
 
+class TestMixedPairSampler:
+    @pytest.mark.parametrize("seed", [0, 2, 10])
+    @pytest.mark.parametrize("dim", [3, 4, 6])
+    @pytest.mark.parametrize("n", [1, 5, 100])
+    def test_without_probes_pairs_are_two_normal_draws_of_one_stream(self, seed, dim, n):
+        sample = mixed_pair_sampler(SeededRng(seed), dim)
+        stream = SeededRng(seed)
+        for _ in range(2):  # a second call draws on where the first stopped
+            x, x_prime = sample(n)
+            assert x.tobytes() == stream.normal((n, dim)).tobytes()
+            assert x_prime.tobytes() == stream.normal((n, dim)).tobytes()
+
+
 class TestDiffLipschitzLowerBound:
     def test_adversarial_pairs_attain_mars_norm(self):
         w0 = np.zeros((1, 2))
@@ -38,7 +50,7 @@ class TestDiffLipschitzLowerBound:
 
     def test_equal_weights_give_zero(self):
         w = SeededRng(1).normal((3, 4))
-        sampler = gaussian_pair_sampler(SeededRng(2), 4)
+        sampler = mixed_pair_sampler(SeededRng(2), 4)
         assert estimate_diff_lipschitz_lb(w, w, sampler, n_pairs=100) == 0.0
 
     def test_random_sampler_never_exceeds_mars_norm(self):
@@ -46,7 +58,7 @@ class TestDiffLipschitzLowerBound:
         for trial in range(20):
             wf = rng.derive(trial, 0).normal((4, 6))
             w0 = rng.derive(trial, 1).normal((4, 6))
-            sampler = gaussian_pair_sampler(rng.derive(trial, 2), 6)
+            sampler = mixed_pair_sampler(rng.derive(trial, 2), 6)
             est = estimate_diff_lipschitz_lb(wf, w0, sampler, n_pairs=500)
             assert est <= mars_norm(wf - w0) + 1e-9
 
@@ -61,7 +73,7 @@ class TestDiffLipschitzLowerBound:
     def test_needs_at_least_one_pair(self):
         with pytest.raises(DomainError):
             estimate_diff_lipschitz_lb(
-                np.zeros((2, 3)), np.zeros((2, 3)), gaussian_pair_sampler(SeededRng(0), 3), 0
+                np.zeros((2, 3)), np.zeros((2, 3)), mixed_pair_sampler(SeededRng(0), 3), 0
             )
 
     def test_coincident_pairs_are_skipped_not_counted(self):
@@ -103,7 +115,7 @@ class TestLemma1Bound:
 
     def test_equal_models_bounded_by_anchor_norm(self):
         spec, _, params_0 = linear_pair(9)
-        sampler = gaussian_pair_sampler(SeededRng(10), 5)
+        sampler = mixed_pair_sampler(SeededRng(10), 5)
         ok, report = verify_lemma1_bound(spec, params_0, params_0, sampler, n_pairs=500)
         assert ok
         assert report.layers[0].diff_norm == 0.0
@@ -118,7 +130,7 @@ class TestLemma1Bound:
             projected["layer0.weight"] = project_rows(
                 params_f["layer0.weight"], params_0["layer0.weight"], gamma
             )
-            sampler = gaussian_pair_sampler(rng.derive(trial), 5)
+            sampler = mixed_pair_sampler(rng.derive(trial), 5)
             _, report = verify_lemma1_bound(spec, projected, params_0, sampler, n_pairs=200)
             assert report.layers[0].diff_norm <= gamma + 1e-9
 
@@ -130,7 +142,7 @@ class TestLemma1Bound:
             name: v + rng.derive(1, i).normal(v.shape, stddev=0.2)
             for i, (name, v) in enumerate(params_0.items())
         }
-        sampler = gaussian_pair_sampler(rng.derive(2), 4)
+        sampler = mixed_pair_sampler(rng.derive(2), 4)
         ok, report = verify_lemma1_bound(spec, params_f, params_0, sampler, n_pairs=1000)
         assert ok
         prod = np.prod([mars_norm(params_f[f"layer{i}.weight"]) for i in range(2)])
@@ -145,7 +157,7 @@ class TestLemma1Bound:
         assert "double" not in ONE_LIPSCHITZ_ACTIVATIONS
         with pytest.raises(NotImplementedError):
             verify_lemma1_bound(
-                spec, {}, {}, gaussian_pair_sampler(SeededRng(0), 3), n_pairs=10
+                spec, {}, {}, mixed_pair_sampler(SeededRng(0), 3), n_pairs=10
             )
 
     def test_monotone_tightening(self):
@@ -164,14 +176,14 @@ class TestLemma1Bound:
                 )
                 _, report = verify_lemma1_bound(
                     spec, projected, params_0,
-                    gaussian_pair_sampler(sampler_rng, 5), n_pairs=50,
+                    mixed_pair_sampler(sampler_rng, 5), n_pairs=50,
                 )
                 assert report.layers[0].diff_norm >= last_ld - 1e-12
                 last_ld = report.layers[0].diff_norm
 
     def test_report_serializes_to_json(self, tmp_path):
         spec, params_f, params_0 = linear_pair(13)
-        sampler = gaussian_pair_sampler(SeededRng(14), 5)
+        sampler = mixed_pair_sampler(SeededRng(14), 5)
         _, report = verify_lemma1_bound(spec, params_f, params_0, sampler, n_pairs=100)
         out = tmp_path / "report.json"
         report.to_json(out)
@@ -230,7 +242,7 @@ class TestChunkedAudit:
         spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
 
         def some_coincident(n):
-            x, x_prime = gaussian_pair_sampler(SeededRng(4), 8)(n)
+            x, x_prime = mixed_pair_sampler(SeededRng(4), 8)(n)
             x_prime[::3] = x[::3]
             return x, x_prime
 
@@ -246,7 +258,7 @@ class TestChunkedAudit:
         spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
         params_f["layer1.weight"][3, 2] = np.nan
         ok, report = verify_lemma1_bound(spec, params_f, params_0,
-                                         gaussian_pair_sampler(SeededRng(1), 8), 10_000)
+                                         mixed_pair_sampler(SeededRng(1), 8), 10_000)
         assert not ok and not report.bound_satisfied
         assert np.isnan(report.network_ratio_max) and np.isnan(report.diff_lipschitz_lb)
 
@@ -255,7 +267,7 @@ class TestChunkedAudit:
         spec, params_f, params_0 = tuned_pair((8, 16, 16, 4))
 
         def late_infinity(n):
-            x, x_prime = gaussian_pair_sampler(SeededRng(2), 8)(n)
+            x, x_prime = mixed_pair_sampler(SeededRng(2), 8)(n)
             x[n - 1] = np.inf
             return x, x_prime
 
@@ -274,7 +286,7 @@ class TestChunkedAudit:
     ])
     def test_traced_peak_is_bounded(self, widths, n_pairs, limit_mib):
         spec, params_f, params_0 = tuned_pair(widths)
-        sampler = gaussian_pair_sampler(SeededRng(3), 8)
+        sampler = mixed_pair_sampler(SeededRng(3), 8)
         tracemalloc.start()
         try:
             verify_lemma1_bound(spec, params_f, params_0, sampler, n_pairs)

@@ -97,7 +97,7 @@ class TestAdamW:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_steps_match_the_textbook_formula_bitwise(self, weight_decay):
         lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-        opt = AdamW(lr=lr, betas=(b1, b2), eps=eps, weight_decay=weight_decay)
+        opt = AdamW(lr=lr, weight_decay=weight_decay)
         rng = SeededRng(7)
         w = w_ref = rng.derive(0).normal((8, 5))
         m = v = np.zeros_like(w)
@@ -254,37 +254,7 @@ class TestMarsSp:
         with pytest.raises(ConfigError):
             MarsSpOptimizer(params, Sgd(lr=0.1), gamma=-1.0)
         with pytest.raises(ConfigError):
-            MarsSpOptimizer(params, Sgd(lr=0.1), gamma={"w": -1.0})
-
-    def test_per_tensor_radii_must_cover_projected_tensors(self):
-        params = make_managed({"w": np.zeros((1, 2)), "b": np.zeros(2)})
-        with pytest.raises(ConfigError):
-            MarsSpOptimizer(params, Sgd(lr=0.1), gamma={"w": 0.5})
-
-    def test_replaying_learned_radii_respects_them(self):
-        # radii learned by the trainable method, replayed as fixed per-layer
-        # constraints from the same anchor, still bound the final weights
-        from projtune.ftp import FtpOptimizer
-
-        spec, params, batch = toy_problem(9)
-        anchors = {n: p.anchor.copy() for n, p in params.items()}
-        ftp = FtpOptimizer(params, Sgd(lr=0.2), k=1.0)
-        for _ in range(40):
-            assign_grads(spec, params, batch)
-            ftp.step()
-        learned = ftp.gamma_values()
-
-        _, replay_params, _ = toy_problem(9)
-        replay = MarsSpOptimizer(replay_params, Sgd(lr=0.2), gamma=learned)
-        for _ in range(40):
-            assign_grads(spec, replay_params, batch)
-            replay.step()
-        for name, gamma in learned.items():
-            view = replay.views[name]
-            _, d = row_displacement(
-                view.to_2d(replay_params[name].value), view.to_2d(anchors[name])
-            )
-            assert d.max() <= gamma + 1e-9, name
+            MarsSpOptimizer(params, Sgd(lr=0.1), gamma=float("nan"))
 
 
 class TestTpgm:

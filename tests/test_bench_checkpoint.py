@@ -149,16 +149,28 @@ class TestCorruption:
             load_checkpoint(path)
 
 
-def rewrite_directory(path, edit):
-    """Apply ``edit`` to the array directory of ``path``, keeping the CRC valid."""
+def header_bytes(header) -> bytes:
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def rewrite_header(path, edit):
+    """Replace the header of ``path`` with ``edit(header)``, bytes, keeping the CRC valid."""
     data = path.read_bytes()
     magic, version, header_len, blob_len, _ = struct.unpack("<4sIQQI", data[:28])
-    header = json.loads(data[28:28 + header_len])
     blob = data[28 + header_len:]
-    edit(header["arrays"])
-    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    raw = edit(json.loads(data[28:28 + header_len]))
     crc = zlib.crc32(blob, zlib.crc32(raw))
     path.write_bytes(struct.pack("<4sIQQI", magic, version, len(raw), blob_len, crc) + raw + blob)
+
+
+def rewrite_directory(path, edit):
+    """Apply ``edit`` to the array directory of ``path``, keeping the CRC valid."""
+
+    def edited(header):
+        edit(header["arrays"])
+        return header_bytes(header)
+
+    rewrite_header(path, edited)
 
 
 def _entry(arrays, key="values/layer0.weight"):
@@ -186,6 +198,23 @@ def test_bad_array_directory_is_a_persistence_error(tmp_path, edit):
     save_checkpoint(sample_checkpoint(), path)
     rewrite_directory(path, edit)
     with pytest.raises(PersistenceError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: b"{" + header_bytes(h),
+    lambda h: b"\xff" + header_bytes(h),
+    lambda h: header_bytes({k: v for k, v in h.items() if k != "spec"}),
+    lambda h: header_bytes({**h, "gammas": {"layer0.weight": 0.25}}),
+    lambda h: header_bytes({**h, "iteration": "seventeen"}),
+    lambda h: header_bytes([h]),
+], ids=["not-json", "not-utf8", "missing-spec", "non-object-gammas-entry",
+        "non-integer-iteration", "list-header"])
+def test_malformed_header_is_a_persistence_error(tmp_path, edit):
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(sample_checkpoint(), path)
+    rewrite_header(path, edit)
+    with pytest.raises(PersistenceError, match="malformed checkpoint header"):
         load_checkpoint(path)
 
 

@@ -65,11 +65,12 @@ def test_main_prints_one_line_per_row(tmp_path, capsys):
     benchmark.write_text(json.dumps(BENCHMARK))
     assert load_tool().main([str(bench), "--benchmark", str(benchmark), "--set", "claim"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert lines[0].startswith("claim w step_us: parent 104.5 [102.25, 106.75]")
     assert "won 9/10 (parent 1)  claim yes  worse than bound no" in lines[0]
     assert lines[3].endswith("won ?  claim ?  worse than bound ?")
     assert lines[4] == "claim w operations failed: parent 0/10  change 0/10  more failures no"
+    assert lines[5] == "claim w verdict: worse than bound steps_per_s  more failures no"
     # one metric: no operations line
     assert load_tool().main([str(bench), "--benchmark", str(benchmark), "--metric", "calls"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
@@ -91,3 +92,21 @@ def test_failed_operations_are_summed_per_side_and_flagged_above_the_parents_sha
     assert [rows[k]["more_failures"] for k in "abc"] == [True, False, False]
     assert load_tool().format_failures(rows["a"]) == (
         "a w operations failed: parent 1/200  change 2/300  more failures yes")
+
+
+def test_output_ends_with_one_verdict_line_per_set_and_workload(tmp_path, capsys):
+    bench = synthetic_bench()
+    # a second workload of the "one" set, whose change fails an operation and is slower
+    for side, step, failed in (("parent", 100.0, 0), ("change", 130.0, 1)):
+        bench["runs"].append(run("one", 0, side, step_us=step, steps_per_s=10.0))
+        bench["runs"][-1].update(workload="v")
+        bench["runs"][-1]["result"].update(failed=failed, attempted=4)
+    path, benchmark = tmp_path / "BENCH_1.json", tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps(bench))
+    benchmark.write_text(json.dumps(BENCHMARK))
+    assert load_tool().main([str(path), "--benchmark", str(benchmark)]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "claim w verdict: worse than bound steps_per_s  more failures no",
+        "one w verdict: worse than bound none  more failures no",
+        "one v verdict: worse than bound step_us  more failures yes",
+    ]

@@ -5,11 +5,13 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projtune.bench import cli
+from projtune.bench.checkpoint import load_checkpoint, save_checkpoint
 from projtune.bench.cli import main
 from projtune.bench.config import METHODS, ExperimentConfig, parse_config_text
 from projtune.errors import ConfigError
@@ -182,6 +184,23 @@ class TestPretrainFinetune:
         assert key in capsys.readouterr().err
         assert not (outdir / "pretrain.ckpt").exists()
 
+    @pytest.mark.parametrize("case", ["lr=1e308", "weight_decay=1e308"])
+    def test_a_finite_value_that_overflows_the_weights_diverges_after_pretraining(
+            self, tmp_path, case, capsys):
+        conf = tmp_path / "tiny.conf"
+        conf.write_text(TINY_CONF, encoding="utf-8")
+        outdir = tmp_path / "run"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert run_cli("finetune", "--config", conf, "--set", f"outdir={outdir}",
+                           "--set", case) == 2
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"error: training loss diverged at iteration (\d+)\n", err)
+        assert match, err
+        assert (outdir / "pretrain.ckpt").exists()
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["diverged_at"] == int(match.group(1))
+
 
 @pytest.mark.parametrize("command", ["evaluate", "audit"])
 def test_out_in_missing_directory_fails_before_any_work(command, tmp_path, conf_file,
@@ -342,6 +361,82 @@ class TestEvaluateAudit:
     def test_audit_missing_checkpoint_is_clean_error(self, tmp_path, capsys):
         assert run_cli("audit", "--checkpoint", tmp_path / "missing.ckpt") == 2
         assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_mid_run(tmp_path_factory):
+    """A tiny FTP run's config, pretrained anchor and first mid-run checkpoint."""
+    root = tmp_path_factory.mktemp("mid")
+    conf = root / "tiny.conf"
+    conf.write_text(TINY_CONF, encoding="utf-8")
+    assert quiet_exit_code(["finetune", "--config", str(conf), "--set", f"outdir={root}",
+                            "--set", "method=ftp", "--set", "checkpoint_every=2"]) == 0
+    return conf, root / "pretrain.ckpt", min(root.glob("ckpt_iter*.ckpt"))
+
+
+MISFITS = {
+    "missing-value": lambda ckpt: ckpt.values.pop("layer0.weight"),
+    "missing-anchor": lambda ckpt: ckpt.anchors.pop("layer1.weight"),
+    "misshapen-weight": lambda ckpt: ckpt.values.update({"layer0.weight": np.zeros((3, 3))}),
+}
+
+
+def misfit_copy(src, dst, case):
+    """``dst``: checkpoint ``src`` with arrays that no longer fit its own spec."""
+    ckpt = load_checkpoint(src)
+    MISFITS[case](ckpt)
+    save_checkpoint(ckpt, dst)
+    return dst
+
+
+class TestCheckpointArraysThatDoNotFitTheirSpec:
+    def audit_error(self, tiny_mid_run, tmp_path, capsys, case):
+        ckpt = misfit_copy(tiny_mid_run[2], tmp_path / "misfit.ckpt", case)
+        capsys.readouterr()
+        assert run_cli("audit", "--checkpoint", ckpt, "--pairs", 50) == 2
+        assert not ckpt.with_suffix(".audit.json").exists()
+        return capsys.readouterr().err
+
+    def resume_error(self, tiny_mid_run, tmp_path, capsys, case):
+        conf, pre, mid = tiny_mid_run
+        ckpt = misfit_copy(mid, tmp_path / mid.name, case)
+        capsys.readouterr()
+        assert run_cli("finetune", "--config", conf, "--set", f"outdir={tmp_path / 'run'}",
+                       "--set", "method=ftp", "--set", f"pretrain.path={pre}",
+                       "--resume", ckpt) == 2
+        assert not (tmp_path / "run").exists()
+        return capsys.readouterr().err
+
+    def test_audit_of_a_checkpoint_missing_a_value_is_clean_error(self, tiny_mid_run,
+                                                                  tmp_path, capsys):
+        err = self.audit_error(tiny_mid_run, tmp_path, capsys, "missing-value")
+        assert err == "error: checkpoint values has no layer0.weight\n"
+
+    def test_audit_of_a_checkpoint_missing_an_anchor_is_clean_error(self, tiny_mid_run,
+                                                                    tmp_path, capsys):
+        err = self.audit_error(tiny_mid_run, tmp_path, capsys, "missing-anchor")
+        assert err == "error: checkpoint anchors has no layer1.weight\n"
+
+    def test_audit_of_a_checkpoint_with_a_misshapen_weight_is_clean_error(self, tiny_mid_run,
+                                                                          tmp_path, capsys):
+        err = self.audit_error(tiny_mid_run, tmp_path, capsys, "misshapen-weight")
+        assert err.startswith("error: checkpoint values layer0.weight has shape (3, 3)")
+
+    def test_resume_from_a_checkpoint_missing_a_value_is_clean_error(self, tiny_mid_run,
+                                                                     tmp_path, capsys):
+        err = self.resume_error(tiny_mid_run, tmp_path, capsys, "missing-value")
+        assert err.startswith("error: resume checkpoint ")
+        assert err.endswith("does not fit this run: its values has no layer0.weight\n")
+
+    def test_resume_from_a_checkpoint_missing_an_anchor_is_clean_error(self, tiny_mid_run,
+                                                                       tmp_path, capsys):
+        err = self.resume_error(tiny_mid_run, tmp_path, capsys, "missing-anchor")
+        assert err.endswith("does not fit this run: its anchors has no layer1.weight\n")
+
+    def test_resume_from_a_checkpoint_with_a_misshapen_weight_is_clean_error(
+            self, tiny_mid_run, tmp_path, capsys):
+        err = self.resume_error(tiny_mid_run, tmp_path, capsys, "misshapen-weight")
+        assert "does not fit this run: its values layer0.weight has shape (3, 3)" in err
 
 
 class TestSweep:

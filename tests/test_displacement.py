@@ -88,14 +88,21 @@ def make_base(kind):
     return Sgd(lr=0.3, momentum=0.9) if kind == "sgd" else AdamW(lr=0.05)
 
 
+def opened(opt, gamma=0.05):
+    """``opt`` with every learned radius opened from its closed start to ``gamma``."""
+    for gs in opt.gammas.values():
+        gs.gamma = gamma
+    return opt
+
+
 def build(method, params, base, grads_at):
     """The optimizer the run loop builds for ``method``, on the smooth problem."""
     if method == "ftp":
-        return FtpOptimizer(params, base, k=0.5, exclude_set=["head"], gamma_init=0.05)
+        return opened(FtpOptimizer(params, base, k=0.5, exclude_set=["head"]))
     if method == "tpgm":
-        return TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)),
-                             itertools.repeat([0.5, -1.5]), inner_iters=2,
-                             exclude_set=["head"], gamma_init=0.05)
+        return opened(TpgmOptimizer(params, base, lambda v, s: (0.0, grads_at(v, s)),
+                                    itertools.repeat([0.5, -1.5]), inner_iters=2,
+                                    exclude_set=["head"]))
     if method == "mars-sp":
         return MarsSpOptimizer(params, base, MARS_GAMMA, exclude_set=["head"])
     return BaseOnlyOptimizer(params, base)
@@ -324,10 +331,11 @@ def test_a_radius_set_from_outside_reaches_the_next_projection_and_check(method,
     shadow = build(method, ref, ref_base, grads_at)
     for t in range(1, 10):
         if t in (4, 7):
-            # a tighter, then a looser radius for w, as a user or a restore sets it
+            # a tighter, then a looser radius for w (MARS-SP's is shared), as a user or a
+            # restore sets it
             for o in (opt, shadow):
                 if method == "mars-sp":
-                    o.fixed_gammas["w"] = 0.02 if t == 4 else 0.6
+                    o.fixed_gamma = 0.02 if t == 4 else 0.6
                 else:
                     o.gammas["w"].gamma = 0.02 if t == 4 else 0.6
             assert opt.constraint_excess() == full_excess(shadow, ref)
@@ -415,8 +423,8 @@ def test_a_failed_tpgm_step_moves_no_radius_and_no_weight(inner_iters):
     good = [0.5] * inner_iters
     # three steps, a step whose last validation batch is bad, and one more step
     stream = [good] * 3 + [[0.5] * (inner_iters - 1) + ["bad"], good]
-    opt = TpgmOptimizer(params, Sgd(lr=0.3, momentum=0.9), grad_fn, stream,
-                        inner_iters=inner_iters, exclude_set=["head"], gamma_init=0.05)
+    opt = opened(TpgmOptimizer(params, Sgd(lr=0.3, momentum=0.9), grad_fn, stream,
+                               inner_iters=inner_iters, exclude_set=["head"]))
     for t in range(1, 4):
         assign_grads("tpgm", t, params, grads_at)
         opt.step()
@@ -455,7 +463,7 @@ def test_mars_sp_constraint_excess_is_a_full_measurement(gamma):
 
 def test_displacement_is_remeasured_when_its_arrays_are_replaced():
     params, grads_at = smooth_problem(5)
-    opt = FtpOptimizer(params, Sgd(lr=0.3), gamma_init=0.05)
+    opt = opened(FtpOptimizer(params, Sgd(lr=0.3)))
     for t in range(3):
         assign_grads("ftp", t, params, grads_at)
         opt.step()
@@ -606,7 +614,7 @@ def test_cached_hyper_gradient_matches_finite_differences(shape, seed, frac):
                     .reshape(view.source_shape))
 
     params = make_managed({"t": anchor})
-    opt = FtpOptimizer(params, Sgd(lr=1.0), gamma_init=gamma)  # k = 1: no annealing
+    opt = opened(FtpOptimizer(params, Sgd(lr=1.0)), gamma)  # k = 1: no annealing
     params["t"].grad = step0
     opt.step()
     params["t"].grad = coef * np.cos(params["t"].value)

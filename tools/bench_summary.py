@@ -12,7 +12,9 @@ the claim rule holds and whether the change is worse than the metric's
 bound. A pair is the parent run and the change run of one seed. Unless
 ``--metric`` is given, each set and workload also gets a line with each
 side's failed and attempted operations, summed over its runs, and whether
-the change's failed share is above the parent's.
+the change's failed share is above the parent's; the output then ends with
+one verdict line per set and workload, which names every end-to-end metric
+worse than its bound (or says ``none``) and repeats the failures verdict.
 
 - The claim rule: at least 10 pairs, the change better in at least nine
   tenths of them, and the medians apart by more than the parent's
@@ -112,6 +114,13 @@ def failures(bench: dict) -> list[dict]:
     return rows
 
 
+def verdicts(rows: list[dict], fails: list[dict]) -> list[dict]:
+    """Per set and workload of ``fails``: the metrics of ``rows`` worse than their bound."""
+    return [{**f, "worse": [r["metric"] for r in rows if r["worse"]
+                            and (r["set"], r["workload"]) == (f["set"], f["workload"])]}
+            for f in fails]
+
+
 def _verdict(value) -> str:
     return "?" if value is None else ("yes" if value else "no")
 
@@ -131,6 +140,11 @@ def format_failures(row: dict) -> str:
             f"change {cf}/{ca}  more failures {_verdict(row['more_failures'])}")
 
 
+def format_verdict(row: dict) -> str:
+    return (f"{row['set']} {row['workload']} verdict: worse than bound "
+            f"{', '.join(row['worse']) or 'none'}  more failures {_verdict(row['more_failures'])}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("bench", type=Path, help="a BENCH_<n>.json file")
@@ -140,13 +154,16 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     bench = json.loads(args.bench.read_text(encoding="utf-8"))
     benchmark = json.loads(args.benchmark.read_text(encoding="utf-8"))
-    for row in summarize(bench, benchmark):
+    rows = summarize(bench, benchmark)
+    for row in rows:
         if args.set in (None, row["set"]) and args.metric in (None, row["metric"]):
             print(format_row(row))
     if args.metric is None:
-        for row in failures(bench):
-            if args.set in (None, row["set"]):
-                print(format_failures(row))
+        fails = [row for row in failures(bench) if args.set in (None, row["set"])]
+        for row in fails:
+            print(format_failures(row))
+        for row in verdicts(rows, fails):
+            print(format_verdict(row))
     return 0
 
 
